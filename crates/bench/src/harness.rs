@@ -1,9 +1,7 @@
 //! Shared experiment setup: standard seeds, panels, training splits,
 //! and policy constructors used by every figure runner and bench.
 
-use netmaster_core::policies::{
-    BatchPolicy, DefaultPolicy, DelayPolicy, NetMasterPolicy, OraclePolicy,
-};
+use netmaster_core::policies::{DefaultPolicy, DelayPolicy, NetMasterPolicy, OraclePolicy};
 use netmaster_core::NetMasterConfig;
 use netmaster_radio::{LinkModel, RrcModel};
 use netmaster_sim::{simulate, Policy, RunMetrics, SimConfig};
@@ -66,11 +64,6 @@ pub fn fig7_runs(trace: &Trace) -> Vec<RunMetrics> {
         out.push(run_test_days(trace, &mut DelayPolicy::new(d)));
     }
     out
-}
-
-/// Convenience: a batch policy arm.
-pub fn batch_run(trace: &Trace, n: usize) -> RunMetrics {
-    run_test_days(trace, &mut BatchPolicy::new(n))
 }
 
 #[cfg(test)]

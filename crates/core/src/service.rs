@@ -7,7 +7,7 @@ use crate::config::NetMasterConfig;
 use crate::policies::NetMasterPolicy;
 use netmaster_radio::battery::BatteryModel;
 use netmaster_radio::{apportion, LinkModel, RrcConfig, RrcModel, TailPolicy};
-use netmaster_sim::{simulate, DefaultPolicy, Policy, RunMetrics, SimConfig};
+use netmaster_sim::{simulate, DefaultPolicy, Policy, SimConfig};
 use netmaster_trace::time::Interval;
 use netmaster_trace::trace::DayTrace;
 use serde::{Deserialize, Serialize};
@@ -34,7 +34,7 @@ pub struct DayReport {
     pub prediction_hits: u64,
     /// Prediction misses today: trained demands that fell through to
     /// the duty-cycle layer (per-activity metric; see
-    /// [`NetMasterStats`](crate::NetMasterStats)).
+    /// [`NetMasterStats`](crate::policies::NetMasterStats)).
     pub prediction_misses: u64,
     /// Total simulated seconds today's deferred/prefetched demands were
     /// moved by.
@@ -330,11 +330,6 @@ impl MiddlewareService {
     /// [`NetMasterPolicy::remine_from_recent`]).
     pub fn trigger_remine(&mut self) {
         self.policy.remine_from_recent();
-    }
-
-    /// Last-run metrics detail for one day, stock-device counterfactual.
-    pub fn stock_counterfactual(&self, day: &DayTrace) -> RunMetrics {
-        simulate(std::slice::from_ref(day), &mut DefaultPolicy, &self.sim)
     }
 }
 

@@ -19,7 +19,8 @@
 //!   EWMA level and lifetime [`Welford`] moments; resets and re-warms
 //!   after each alarm so one shift yields one alarm, not a storm.
 
-use crate::timeseries::{DaySeries, Ewma, Welford};
+use crate::timeseries::{Ewma, Welford};
+use crate::Ring;
 use serde::{Deserialize, Serialize};
 
 /// Which way a detector looks for change.
@@ -118,7 +119,7 @@ pub struct WindowedCusum {
     warmup: usize,
     direction: Direction,
     baseline: Welford,
-    window: DaySeries,
+    window: Ring<f64>,
 }
 
 impl WindowedCusum {
@@ -133,7 +134,7 @@ impl WindowedCusum {
             warmup: warmup.max(2),
             direction,
             baseline: Welford::new(),
-            window: DaySeries::new(window.max(1)),
+            window: Ring::with_capacity(window),
         }
     }
 
@@ -182,7 +183,7 @@ impl WindowedCusum {
     /// Forgets all state, including the baseline (re-warms).
     pub fn reset(&mut self) {
         self.baseline = Welford::new();
-        self.window = DaySeries::new(self.window.capacity());
+        self.window = Ring::new(self.window.capacity());
     }
 }
 

@@ -95,7 +95,8 @@ pub struct Scorecard {
     pub saving: Option<f64>,
     /// Lifetime mean saving ratio.
     pub saving_mean: f64,
-    /// p99 deferral latency in simulated seconds (log-sketch estimate).
+    /// p99 deferral latency in simulated seconds (log-bucket histogram
+    /// estimate).
     pub deferral_p99_secs: f64,
     /// Drift alarms raised across all watched metrics.
     pub drift_alarms: u64,

@@ -9,9 +9,8 @@
 //! when observability is compiled out or switched off at run time, the
 //! event is never even constructed.
 
-use crate::runtime_enabled;
+use crate::{runtime_enabled, Ring};
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 
 /// Default ring capacity: a few weeks of single-user days.
 pub const DEFAULT_JOURNAL_CAPACITY: usize = 4096;
@@ -197,17 +196,19 @@ pub struct JournalEntry {
 
 /// Bounded ring buffer of [`JournalEntry`]s. When full, the oldest
 /// entry is dropped and counted.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Journal {
-    buf: VecDeque<JournalEntry>,
-    cap: usize,
-    next_seq: u64,
-    dropped: u64,
-    high_water: usize,
+    ring: Ring<JournalEntry>,
     /// Muted journals drop events before construction — the
     /// metrics-only flight-recorder detail level for fleet members,
     /// where nobody will ever drain the ring.
     muted: bool,
+}
+
+impl Default for Journal {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl Journal {
@@ -219,11 +220,7 @@ impl Journal {
     /// Journal holding at most `cap` entries.
     pub fn with_capacity(cap: usize) -> Self {
         Journal {
-            buf: VecDeque::new(),
-            cap: cap.max(1),
-            next_seq: 0,
-            dropped: 0,
-            high_water: 0,
+            ring: Ring::with_capacity(cap),
             muted: false,
         }
     }
@@ -234,38 +231,33 @@ impl Journal {
         self.muted = muted;
     }
 
-    /// Appends the event produced by `f`. When observability is
-    /// compiled out (or switched off at run time), or the journal is
-    /// muted, `f` never runs.
+    /// Appends the event produced by `f`, sequenced by the ring's push
+    /// count. When observability is compiled out (or switched off at
+    /// run time), or the journal is muted, `f` never runs.
     #[inline]
     pub fn emit(&mut self, f: impl FnOnce() -> DecisionEvent) {
         if self.muted || !runtime_enabled() {
             return;
         }
-        if self.buf.len() >= self.cap {
-            self.buf.pop_front();
-            self.dropped += 1;
+        let seq = self.ring.pushed();
+        if self.ring.push(JournalEntry { seq, event: f() }).is_some() {
             crate::counter!(crate::names::JOURNAL_DROPPED_TOTAL);
         }
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.buf.push_back(JournalEntry { seq, event: f() });
-        self.high_water = self.high_water.max(self.buf.len());
     }
 
     /// Buffered entries.
     pub fn len(&self) -> usize {
-        self.buf.len()
+        self.ring.len()
     }
 
     /// `true` when nothing is buffered.
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.ring.is_empty()
     }
 
     /// Entries evicted by the ring bound since creation.
     pub fn dropped(&self) -> u64 {
-        self.dropped
+        self.ring.dropped()
     }
 
     /// Highest fill level the ring has reached since creation. Equal
@@ -273,15 +265,18 @@ impl Journal {
     /// this distinguishes "ring sized generously" from "ring brim-full
     /// and truncating".
     pub fn high_water(&self) -> usize {
-        self.high_water
+        self.ring.high_water()
     }
 
     /// Takes every buffered entry, oldest first. Publishes the ring's
     /// high-water mark as a gauge (drain is the cold path; `emit` only
     /// maintains a local max).
     pub fn drain(&mut self) -> Vec<JournalEntry> {
-        crate::gauge_max(crate::names::JOURNAL_RING_HIGHWATER, self.high_water as f64);
-        self.buf.drain(..).collect()
+        crate::gauge_max(
+            crate::names::JOURNAL_RING_HIGHWATER,
+            self.ring.high_water() as f64,
+        );
+        self.ring.drain()
     }
 }
 

@@ -22,11 +22,10 @@
 //!   lifecycle records ([`tracectx`]) in a bounded [`TraceLedger`],
 //!   rolled into per-app/per-day energy bills and worst-offender
 //!   exemplars by [`ledger`];
-//! * **watchtower primitives** — [`timeseries`] (Welford, EWMA,
-//!   mergeable quantile sketch, per-day rings), [`drift`]
-//!   (Page–Hinkley + windowed-CUSUM change detectors), and [`health`]
-//!   (per-user scorecards) — assembled into the fleet health
-//!   watchtower by `netmaster-core`;
+//! * **watchtower primitives** — [`timeseries`] (Welford, EWMA),
+//!   [`drift`] (Page–Hinkley + windowed-CUSUM change detectors), and
+//!   [`health`] (per-user scorecards) — assembled into the fleet
+//!   health watchtower by `netmaster-core`;
 //! * a **live telemetry plane** — [`hub`] (the [`TelemetryHub`] sink
 //!   fleet runs publish progress and rendered documents into),
 //!   [`serve`] (a std-only HTTP scrape server: `/metrics`, `/healthz`,
@@ -39,6 +38,12 @@
 //!   window query API) and [`alerts`] (declarative threshold / absence
 //!   / burn-rate [`AlertRule`]s evaluated into
 //!   pending→firing→resolved transitions by an [`AlertEngine`]).
+//!
+//! Two primitives are shared by all of the above. Every bounded
+//! buffer is one drop-oldest [`Ring`], and every percentile reads one
+//! log-bucket layout through [`HistSnap::quantile_secs`] (registry
+//! histograms, history-store windows, and a plain [`LogHist`] for
+//! per-user results).
 //!
 //! ## Feature gating
 //!
@@ -65,6 +70,7 @@ pub mod ledger;
 pub mod names;
 pub mod profile;
 mod registry;
+mod ring;
 pub mod runregistry;
 pub mod serve;
 pub mod spantree;
@@ -84,8 +90,9 @@ pub use profile::{
 };
 pub use registry::{
     counter_handle, gauge_max, gauge_set, hist_handle, reset, snapshot, BucketSnap, Counter,
-    CounterSnap, GaugeSnap, Hist, HistSnap, Snapshot, FINITE_BUCKETS, HIST_BUCKETS,
+    CounterSnap, GaugeSnap, Hist, HistSnap, LogHist, Snapshot, FINITE_BUCKETS, HIST_BUCKETS,
 };
+pub use ring::Ring;
 pub use runregistry::{RunRecord, RunRegistry, RUN_SCHEMA_VERSION};
 pub use serve::{
     healthz_report, http_get, http_get_with_timeout, HealthzReport, ObsServer, ServeOptions,

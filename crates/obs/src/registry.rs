@@ -29,6 +29,15 @@ fn bucket_le_secs(i: usize) -> f64 {
     (1u64 << (MIN_EXP + i as u32)) as f64 / 1e9
 }
 
+/// Seconds to whole nanoseconds (negative values clamp to zero).
+fn secs_to_ns(secs: f64) -> u64 {
+    if secs <= 0.0 {
+        0
+    } else {
+        (secs * 1e9).min(u64::MAX as f64) as u64
+    }
+}
+
 /// First bucket whose upper bound is ≥ `ns` (overflow bucket past 2^47).
 fn bucket_of(ns: u64) -> usize {
     if ns <= (1 << MIN_EXP) {
@@ -96,15 +105,69 @@ impl Hist {
         if !runtime_enabled() {
             return;
         }
-        let ns = if secs <= 0.0 {
-            0
-        } else {
-            (secs * 1e9).min(u64::MAX as f64) as u64
-        };
+        let ns = secs_to_ns(secs);
         let cell = &self.0;
         cell.count.fetch_add(1, Ordering::Relaxed);
         cell.sum_ns.fetch_add(ns, Ordering::Relaxed);
         cell.buckets[bucket_of(ns)].fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// A plain single-owner histogram over the registry's bucket layout.
+/// Unlike a [`Hist`] it is not registered, not shared and not gated
+/// by [`runtime_enabled`], so it serves per-user percentiles that are
+/// part of a result (the watchtower's deferral p99) rather than
+/// telemetry. [`snapshot`] also uses it to merge shards.
+#[derive(Debug, Clone, PartialEq)]
+pub struct LogHist {
+    count: u64,
+    sum_ns: u64,
+    buckets: [u64; HIST_BUCKETS],
+}
+
+impl Default for LogHist {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl LogHist {
+    /// An empty histogram.
+    pub fn new() -> Self {
+        LogHist {
+            count: 0,
+            sum_ns: 0,
+            buckets: [0; HIST_BUCKETS],
+        }
+    }
+
+    /// Records a value in seconds.
+    pub fn observe_secs(&mut self, secs: f64) {
+        let ns = secs_to_ns(secs);
+        self.count += 1;
+        self.sum_ns = self.sum_ns.wrapping_add(ns);
+        self.buckets[bucket_of(ns)] += 1;
+    }
+
+    /// The histogram as a named [`HistSnap`], whose
+    /// [`HistSnap::quantile_secs`] reads its percentiles.
+    pub fn snap(&self, name: &str) -> HistSnap {
+        HistSnap {
+            name: name.to_owned(),
+            count: self.count,
+            sum_secs: self.sum_ns as f64 / 1e9,
+            buckets: self
+                .buckets
+                .iter()
+                .take(FINITE_BUCKETS)
+                .enumerate()
+                .filter(|&(_, &c)| c > 0)
+                .map(|(i, &c)| BucketSnap {
+                    le_secs: bucket_le_secs(i),
+                    count: c,
+                })
+                .collect(),
+        }
     }
 }
 
@@ -323,12 +386,12 @@ pub fn snapshot() -> Snapshot {
         *counters.entry(name).or_insert(0) += c.load(Ordering::Relaxed); // lint:allow(atomic-ordering) shard cells are reached under the registry Mutex, whose unlock edge orders resets against merges; racing Relaxed increments are statistical
     }
 
-    let mut hists: BTreeMap<&'static str, (u64, u64, [u64; HIST_BUCKETS])> = BTreeMap::new();
+    let mut hists: BTreeMap<&'static str, LogHist> = BTreeMap::new();
     for (name, h) in r.hists.lock().unwrap_or_else(|e| e.into_inner()).iter() {
-        let entry = hists.entry(name).or_insert((0, 0, [0; HIST_BUCKETS]));
-        entry.0 += h.count.load(Ordering::Relaxed); // lint:allow(atomic-ordering) shard cells are reached under the registry Mutex, whose unlock edge orders resets against merges; racing Relaxed increments are statistical
-        entry.1 += h.sum_ns.load(Ordering::Relaxed);
-        for (acc, b) in entry.2.iter_mut().zip(&h.buckets) {
+        let entry = hists.entry(name).or_default();
+        entry.count += h.count.load(Ordering::Relaxed); // lint:allow(atomic-ordering) shard cells are reached under the registry Mutex, whose unlock edge orders resets against merges; racing Relaxed increments are statistical
+        entry.sum_ns += h.sum_ns.load(Ordering::Relaxed);
+        for (acc, b) in entry.buckets.iter_mut().zip(&h.buckets) {
             *acc += b.load(Ordering::Relaxed); // lint:allow(atomic-ordering) shard cells are reached under the registry Mutex, whose unlock edge orders resets against merges; racing Relaxed increments are statistical
         }
     }
@@ -354,22 +417,8 @@ pub fn snapshot() -> Snapshot {
             .collect(),
         histograms: hists
             .into_iter()
-            .filter(|&(_, (count, _, _))| count > 0)
-            .map(|(name, (count, sum_ns, buckets))| HistSnap {
-                name: name.to_owned(),
-                count,
-                sum_secs: sum_ns as f64 / 1e9,
-                buckets: buckets
-                    .iter()
-                    .take(FINITE_BUCKETS)
-                    .enumerate()
-                    .filter(|&(_, &c)| c > 0)
-                    .map(|(i, &c)| BucketSnap {
-                        le_secs: bucket_le_secs(i),
-                        count: c,
-                    })
-                    .collect(),
-            })
+            .filter(|(_, h)| h.count > 0)
+            .map(|(name, h)| h.snap(name))
             .collect(),
     }
 }
@@ -477,39 +526,72 @@ mod tests {
 
     #[test]
     fn quantiles_interpolate_within_one_bucket_width_of_truth() {
+        // An empty histogram reads zero at every quantile.
+        assert_eq!(LogHist::new().snap("t").quantile_secs(0.99), 0.0);
+        // One bucket width at value v: bounds double, so width = le − le/2.
+        let width_at = |v: f64| bucket_le_secs(bucket_of(secs_to_ns(v))) / 2.0;
+        let uniform = |n: u32| (1..=n).map(|i| f64::from(i) / f64::from(n)).collect();
+        // (samples, true mean, true p50, true p99): uniform over
+        // 0.01 ..= 1.00 s, uniform over 0.001 ..= 1.000 s, one sample.
+        let cases: [(Vec<f64>, f64, f64, f64); 3] = [
+            (uniform(100), 0.505, 0.50, 0.99),
+            (uniform(1000), 0.5005, 0.50, 0.99),
+            (vec![0.125], 0.125, 0.125, 0.125),
+        ];
+        for (samples, mean, p50_true, p99_true) in cases {
+            let mut h = LogHist::new();
+            for &v in &samples {
+                h.observe_secs(v);
+            }
+            let hs = h.snap("test_quantile_seconds");
+            assert_eq!(hs.count, samples.len() as u64);
+            assert!(
+                (hs.mean_secs() - mean).abs() < 1e-9,
+                "mean {}",
+                hs.mean_secs()
+            );
+            let p50 = hs.quantile_secs(0.5);
+            let p99 = hs.quantile_secs(0.99);
+            assert!(
+                (p50 - p50_true).abs() <= width_at(p50_true),
+                "p50 {p50} further than one bucket width from {p50_true}"
+            );
+            assert!(
+                (p99 - p99_true).abs() <= width_at(p99_true),
+                "p99 {p99} further than one bucket width from {p99_true}"
+            );
+            if samples.len() == 1 {
+                // Every quantile of one sample lands in its bucket.
+                assert_eq!(hs.quantile_secs(0.01), p50);
+                assert_eq!(p50, p99);
+            } else {
+                // The old snapping bug returned the raw bucket bound
+                // exactly; a rank landing mid-bucket must not sit on a
+                // power-of-two bound.
+                let le50 = bucket_le_secs(bucket_of(secs_to_ns(p50)));
+                assert!(p50 < le50, "p50 snapped to its bucket upper bound");
+            }
+        }
+    }
+
+    #[test]
+    fn log_hist_matches_the_live_registry() {
         let _g = crate::test_serial();
         if !crate::ENABLED {
             return;
         }
         reset();
-        let h = hist_handle("test_quantile_seconds");
-        // Uniform over 0.01 s ..= 1.00 s: true p50 = 0.50 s, p99 = 0.99 s.
-        for i in 1..=100 {
-            h.observe_secs(i as f64 / 100.0);
+        let live = hist_handle("test_log_hist_seconds");
+        let mut plain = LogHist::new();
+        for v in [0.0, 1e-7, 0.001, 0.5, 3.0, 4000.0, 86_400.0, 1e6] {
+            live.observe_secs(v);
+            plain.observe_secs(v);
         }
         let snap = snapshot();
-        let hs = snap.histogram("test_quantile_seconds").unwrap();
-        // One bucket width at value v: bounds double, so width = le − le/2.
-        let width_at = |v: f64| {
-            let ns = (v * 1e9) as u64;
-            let le = bucket_le_secs(bucket_of(ns));
-            le / 2.0
-        };
-        let p50 = hs.quantile_secs(0.5);
-        let p99 = hs.quantile_secs(0.99);
-        assert!(
-            (p50 - 0.50).abs() <= width_at(0.50),
-            "p50 {p50} further than one bucket width from 0.50"
+        assert_eq!(
+            snap.histogram("test_log_hist_seconds"),
+            Some(&plain.snap("test_log_hist_seconds"))
         );
-        assert!(
-            (p99 - 0.99).abs() <= width_at(0.99),
-            "p99 {p99} further than one bucket width from 0.99"
-        );
-        // The old snapping bug returned the raw bucket bound exactly; the
-        // interpolated estimate must not sit on a power-of-two bound when
-        // the rank lands mid-bucket.
-        let le50 = bucket_le_secs(bucket_of((p50 * 1e9) as u64));
-        assert!(p50 < le50, "p50 snapped to its bucket upper bound");
         reset();
     }
 

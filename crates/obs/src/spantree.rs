@@ -1,4 +1,4 @@
-//! Hierarchical span-tree tracing: the causal layer under [`span!`]
+//! Hierarchical span-tree tracing: the causal layer under [`span!`](crate::span)
 //! and [`timer!`](crate::timer).
 //!
 //! Every thread keeps two views of its in-flight spans:
@@ -22,9 +22,9 @@
 //! allocating part) additionally toggles via [`set_trace_capture`] so
 //! the perf harness can A/B it in one binary.
 
+use crate::Ring;
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
-use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, Weak};
@@ -404,17 +404,15 @@ fn fmt_span_secs(secs: f64) -> String {
     }
 }
 
-#[derive(Default)]
 struct TraceInner {
-    ring: VecDeque<SpanNode>,
-    capacity: usize,
+    /// Completed trees; its push count is the lifetime `recorded`
+    /// total and its eviction count the `dropped` total.
+    ring: Ring<SpanNode>,
     /// Worst (slowest) completed tree per root stage name — the
     /// slow-trace exemplar a latency histogram's worst bucket points
     /// at. Retained outside the ring, so drop-oldest never evicts the
     /// answer to "show me the slowest `run_day`".
     exemplars: Vec<(String, SpanNode)>,
-    recorded: u64,
-    dropped: u64,
 }
 
 /// A bounded drop-oldest store of completed span trees with per-stage
@@ -436,8 +434,8 @@ impl TraceStore {
     pub fn with_capacity(capacity: usize) -> TraceStore {
         TraceStore {
             inner: Mutex::new(TraceInner {
-                capacity,
-                ..TraceInner::default()
+                ring: Ring::new(capacity),
+                exemplars: Vec::new(),
             }),
         }
     }
@@ -457,7 +455,6 @@ impl TraceStore {
     /// the exemplar slot for its root name when it is the slowest seen.
     pub fn record(&self, root: SpanNode) {
         let mut inner = self.lock();
-        inner.recorded += 1;
         match inner
             .exemplars
             .iter_mut()
@@ -470,13 +467,8 @@ impl TraceStore {
             }
             None => inner.exemplars.push((root.name.clone(), root.clone())),
         }
-        while inner.ring.len() >= inner.capacity.max(1) {
-            inner.ring.pop_front();
-            inner.dropped += 1;
+        if inner.ring.push(root).is_some() {
             crate::counter!(crate::names::TRACE_STORE_DROPPED_TOTAL);
-        }
-        if inner.capacity > 0 {
-            inner.ring.push_back(root);
         }
     }
 
@@ -535,31 +527,25 @@ impl TraceStore {
 
     /// Trees recorded over the store's lifetime.
     pub fn recorded_total(&self) -> u64 {
-        self.lock().recorded
+        self.lock().ring.pushed()
     }
 
     /// Trees the ring evicted on overflow.
     pub fn dropped_total(&self) -> u64 {
-        self.lock().dropped
+        self.lock().ring.dropped()
     }
 
     /// Resizes the ring (evicting oldest immediately if shrinking;
     /// configuration, not pressure, so nothing is counted as dropped).
     pub fn set_capacity(&self, capacity: usize) {
-        let mut inner = self.lock();
-        inner.capacity = capacity;
-        while inner.ring.len() > capacity {
-            inner.ring.pop_front();
-        }
+        self.lock().ring.set_capacity(capacity);
     }
 
     /// Clears retained trees, exemplars, and lifetime counts.
     pub fn clear(&self) {
         let mut inner = self.lock();
-        inner.ring.clear();
+        inner.ring = Ring::new(inner.ring.capacity());
         inner.exemplars.clear();
-        inner.recorded = 0;
-        inner.dropped = 0;
     }
 }
 

@@ -12,15 +12,16 @@
 //! * **gauges** persist raw (first value as IEEE-754 bits, then
 //!   XOR-with-previous varints — repeated values cost one byte);
 //! * **histograms** keep the registry's mergeable cumulative bucket
-//!   vectors (the same doubling-bucket scheme as
-//!   [`timeseries::LogSketch`](crate::timeseries::LogSketch)), so a
-//!   window quantile is a per-bucket difference, never a re-sample.
+//!   vectors (its doubling-bucket scheme), so a window quantile is a
+//!   per-bucket difference read by
+//!   [`HistSnap::quantile_secs`](crate::HistSnap::quantile_secs),
+//!   never a re-sample.
 //!
 //! Timestamps encode delta-of-delta (a fixed cadence costs ~1 byte per
 //! point). Retention is bounded per series: past
 //! [`StoreOptions::retention_points`] the oldest point is evicted and
-//! counted (`store_dropped_total`), the same drop-oldest discipline as
-//! [`TraceLedger`](crate::TraceLedger).
+//! counted (`store_dropped_total`) by the crate's one drop-oldest
+//! [`Ring`].
 //!
 //! On disk ([`MetricStore::flush_to`]) each flush appends one
 //! CRC-checked text line per series to `history.nmts` — the same POSIX
@@ -28,9 +29,8 @@
 //! [`runregistry`](crate::runregistry) — and
 //! [`read_history`] round-trips the points bit-for-bit.
 
-use crate::{BucketSnap, HistSnap, Snapshot};
+use crate::{BucketSnap, HistSnap, Ring, Snapshot};
 use std::collections::BTreeMap;
-use std::collections::VecDeque;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -115,19 +115,18 @@ pub struct Point {
 #[derive(Debug)]
 struct Series {
     kind: SeriesKind,
-    points: VecDeque<Point>,
-    /// Absolute index of `points[0]` since the series began.
-    base_index: u64,
+    /// Retained points; the ring's eviction count is the absolute
+    /// index of the oldest one since the series began.
+    points: Ring<Point>,
     /// Absolute index up to which points have been flushed to disk.
     flushed_index: u64,
 }
 
 impl Series {
-    fn new(kind: SeriesKind) -> Series {
+    fn new(kind: SeriesKind, retention: usize) -> Series {
         Series {
             kind,
-            points: VecDeque::new(),
-            base_index: 0,
+            points: Ring::new(retention),
             flushed_index: 0,
         }
     }
@@ -389,14 +388,14 @@ impl MetricStore {
         let mut lines = String::new();
         let mut segments = 0usize;
         for (name, s) in inner.series.iter_mut() {
-            let start = (s.flushed_index.saturating_sub(s.base_index)) as usize;
+            let start = (s.flushed_index.saturating_sub(s.points.dropped())) as usize;
             if start >= s.points.len() {
                 continue;
             }
             let fresh: Vec<Point> = s.points.iter().skip(start).cloned().collect();
             let payload = encode_points(s.kind, &fresh);
             lines.push_str(&segment_line(name, s.kind, fresh.len(), &payload));
-            s.flushed_index = s.base_index + s.points.len() as u64;
+            s.flushed_index = s.points.pushed();
             segments += 1;
         }
         drop(inner);
@@ -418,18 +417,15 @@ fn push_point(inner: &mut StoreInner, name: &str, kind: SeriesKind, p: Point, re
     let s = inner
         .series
         .entry(name.to_owned())
-        .or_insert_with(|| Series::new(kind));
+        .or_insert_with(|| Series::new(kind, retention));
     if s.kind != kind {
         // A name switched shape across a reset; restart the series.
-        *s = Series::new(kind);
+        *s = Series::new(kind, retention);
     }
-    if s.points.len() >= retention {
-        s.points.pop_front();
-        s.base_index += 1;
+    if s.points.push(p).is_some() {
         inner.dropped_total += 1;
         crate::counter!(crate::names::STORE_DROPPED_TOTAL);
     }
-    s.points.push_back(p);
 }
 
 /// Per-bucket cumulative difference `last − first` (union of bucket

@@ -17,9 +17,8 @@
 //! oldest-first and counts drops (`ledger_dropped_total`), and every
 //! append bumps `ledger_records_total`.
 
-use crate::runtime_enabled;
+use crate::{runtime_enabled, Ring};
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 
 /// Default ring capacity: several weeks of single-user activity.
 pub const DEFAULT_LEDGER_CAPACITY: usize = 16_384;
@@ -190,12 +189,15 @@ impl ActivityTrace {
 
 /// Bounded ring of [`ActivityTrace`] records. One ledger per policy,
 /// like the journal.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct TraceLedger {
-    buf: VecDeque<ActivityTrace>,
-    cap: usize,
-    dropped: u64,
-    high_water: usize,
+    ring: Ring<ActivityTrace>,
+}
+
+impl Default for TraceLedger {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl TraceLedger {
@@ -207,10 +209,7 @@ impl TraceLedger {
     /// Ledger holding at most `cap` records.
     pub fn with_capacity(cap: usize) -> Self {
         TraceLedger {
-            buf: VecDeque::new(),
-            cap: cap.max(1),
-            dropped: 0,
-            high_water: 0,
+            ring: Ring::with_capacity(cap),
         }
     }
 
@@ -221,52 +220,51 @@ impl TraceLedger {
         if !runtime_enabled() {
             return;
         }
-        if self.buf.len() >= self.cap {
-            self.buf.pop_front();
-            self.dropped += 1;
+        if self.ring.push(f()).is_some() {
             crate::counter!(crate::names::LEDGER_DROPPED_TOTAL);
         }
-        self.buf.push_back(f());
-        self.high_water = self.high_water.max(self.buf.len());
         crate::counter!(crate::names::LEDGER_RECORDS_TOTAL);
     }
 
     /// Buffered records.
     pub fn len(&self) -> usize {
-        self.buf.len()
+        self.ring.len()
     }
 
     /// `true` when nothing is buffered.
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.ring.is_empty()
     }
 
     /// Records evicted by the ring bound since creation.
     pub fn dropped(&self) -> u64 {
-        self.dropped
+        self.ring.dropped()
     }
 
     /// Highest fill level the ring has reached since creation.
     pub fn high_water(&self) -> usize {
-        self.high_water
+        self.ring.high_water()
     }
 
     /// Buffered records, oldest first.
     pub fn records(&self) -> impl Iterator<Item = &ActivityTrace> {
-        self.buf.iter()
+        self.ring.iter()
     }
 
     /// Mutable records of one day (the service fills [`EnergyShare`]s
     /// in after pricing that day's timeline).
     pub fn day_records_mut(&mut self, day: usize) -> impl Iterator<Item = &mut ActivityTrace> {
-        self.buf.iter_mut().filter(move |r| r.day == day)
+        self.ring.iter_mut().filter(move |r| r.day == day)
     }
 
     /// Takes every buffered record, oldest first. Publishes the ring's
     /// high-water mark as a gauge (drain is the cold path).
     pub fn drain(&mut self) -> Vec<ActivityTrace> {
-        crate::gauge_max(crate::names::LEDGER_RING_HIGHWATER, self.high_water as f64);
-        self.buf.drain(..).collect()
+        crate::gauge_max(
+            crate::names::LEDGER_RING_HIGHWATER,
+            self.ring.high_water() as f64,
+        );
+        self.ring.drain()
     }
 }
 

@@ -1,5 +1,5 @@
 //! Per-app energy attribution — eprof-style fine-grained accounting
-//! (Pathak et al., the paper's ref [9]): which apps are the *energy
+//! (Pathak et al., the paper's ref \[9\]): which apps are the *energy
 //! devourers* of the title.
 //!
 //! The hard part of attributing cellular energy is the shared state

@@ -3,7 +3,7 @@
 //! The real 3G RRC machine does not promote straight to DCH for every
 //! byte — transfers whose burst fits the FACH uplink/downlink buffers
 //! (a few hundred bytes) are served in CELL_FACH at roughly half the
-//! power, with a cheaper IDLE→FACH promotion (Qian et al. [10] measure
+//! power, with a cheaper IDLE→FACH promotion (Qian et al. \[10\] measure
 //! both paths). The baseline [`RrcModel`](crate::RrcModel) charges DCH
 //! for everything, which slightly *overstates* the stock device's cost
 //! on keepalive-heavy workloads; this module quantifies the difference

@@ -37,7 +37,6 @@ pub struct ProfileBuilder {
     peaks: Vec<(f64, f64, f64)>,
     sleep: Option<(usize, usize)>,
     weekend_base: f64,
-    weekend_peaks: Vec<(f64, f64, f64)>,
     weekend_sleep: Option<(usize, usize)>,
     weekend_mirrors_weekday: bool,
     regularity: f64,
@@ -55,7 +54,6 @@ impl ProfileBuilder {
             peaks: Vec::new(),
             sleep: Some((1, 7)),
             weekend_base: 0.7,
-            weekend_peaks: Vec::new(),
             weekend_sleep: Some((1, 9)),
             weekend_mirrors_weekday: false,
             regularity: 0.6,
@@ -74,13 +72,6 @@ impl ProfileBuilder {
     /// the given width (hours) and height (interactions/hour).
     pub fn usage_peak(mut self, center_hour: f64, width: f64, height: f64) -> Self {
         self.peaks
-            .push((center_hour, width.max(0.1), height.max(0.0)));
-        self
-    }
-
-    /// Adds a weekend usage peak.
-    pub fn weekend_peak(mut self, center_hour: f64, width: f64, height: f64) -> Self {
-        self.weekend_peaks
             .push((center_hour, width.max(0.1), height.max(0.0)));
         self
     }
@@ -109,12 +100,6 @@ impl ProfileBuilder {
     /// Habit regularity in `[0, 1]`.
     pub fn regularity(mut self, r: f64) -> Self {
         self.regularity = r.clamp(0.0, 1.0);
-        self
-    }
-
-    /// Median screen-session seconds.
-    pub fn session_length(mut self, median_secs: f64) -> Self {
-        self.session.duration_median = median_secs.max(1.0);
         self
     }
 
@@ -153,12 +138,6 @@ impl ProfileBuilder {
         self
     }
 
-    /// Adds a fully custom app profile.
-    pub fn custom_app(mut self, app: AppProfile) -> Self {
-        self.apps.push(app);
-        self
-    }
-
     /// Finalizes the profile. A profile with no apps gets a minimal
     /// messaging + dialer portfolio so generation always works.
     pub fn build(mut self) -> UserProfile {
@@ -174,7 +153,7 @@ impl ProfileBuilder {
         let weekend = if self.weekend_mirrors_weekday {
             weekday
         } else {
-            let mut w = diurnal(self.weekend_base, &self.weekend_peaks);
+            let mut w = diurnal(self.weekend_base, &[]);
             if let Some((f, t)) = self.weekend_sleep {
                 w = with_sleep(w, f, t, 0.03);
             }

@@ -147,13 +147,6 @@ impl NetworkActivity {
         Interval::new(self.start, self.start + self.duration.max(1))
     }
 
-    /// Mean transfer rate in bytes/second over the activity duration.
-    /// This is the quantity Fig. 1(b) plots a CDF of.
-    #[inline]
-    pub fn mean_rate_bps(&self) -> f64 {
-        self.volume() as f64 / self.duration.max(1) as f64
-    }
-
     /// Dominant direction by byte count.
     pub fn direction(&self) -> Direction {
         let d = self.bytes_down as f64;
@@ -268,7 +261,6 @@ mod tests {
     fn activity_volume_and_rate() {
         let a = act(100, 10, 900, 100);
         assert_eq!(a.volume(), 1000);
-        assert!((a.mean_rate_bps() - 100.0).abs() < 1e-9);
         assert_eq!(a.span(), Interval::new(100, 110));
     }
 
@@ -276,7 +268,6 @@ mod tests {
     fn zero_duration_activity_has_unit_span() {
         let a = act(5, 0, 10, 0);
         assert_eq!(a.span().len(), 1);
-        assert!(a.mean_rate_bps() > 0.0);
     }
 
     #[test]

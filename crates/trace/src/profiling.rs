@@ -1,7 +1,6 @@
 //! Trace profiling statistics — the measurements behind the paper's
 //! motivation section (Figs. 1, 2, 5).
 
-use crate::event::NetworkActivity;
 use crate::time::HOURS_PER_DAY;
 use crate::trace::Trace;
 use serde::{Deserialize, Serialize};
@@ -232,14 +231,6 @@ pub fn app_hourly_intensity(trace: &Trace) -> AppHourlyIntensity {
     out
 }
 
-/// Mean rate of an activity set in bytes/s, `None` when empty.
-pub fn mean_rate(activities: &[&NetworkActivity]) -> Option<f64> {
-    if activities.is_empty() {
-        return None;
-    }
-    Some(activities.iter().map(|a| a.mean_rate_bps()).sum::<f64>() / activities.len() as f64)
-}
-
 /// Fraction of interactions at risk under a fixed-interval delay scheme
 /// with window `delay_secs`: an interaction is *affected* when some
 /// screen-off network activity started within the preceding
@@ -272,7 +263,7 @@ pub fn delay_affected_interactions(trace: &Trace, delay_secs: u64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{ActivityCause, Interaction};
+    use crate::event::{ActivityCause, Interaction, NetworkActivity};
     use crate::gen::generate_panel;
     use crate::trace::DayTrace;
 
