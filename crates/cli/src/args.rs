@@ -23,10 +23,11 @@ const FLAGS: &[&str] = &[
     "index-guard",
     "serve",
     "series",
+    "flame",
 ];
 
 impl Args {
-    /// Parses an argument vector (excluding argv[0]).
+    /// Parses an argument vector (excluding `argv[0]`).
     pub fn parse<I: IntoIterator<Item = String>>(argv: I) -> Result<Args, String> {
         let mut args = Args::default();
         let mut it = argv.into_iter().peekable();
@@ -64,10 +65,16 @@ impl Args {
 
     /// Parsed numeric option with a default.
     pub fn num<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
+        Ok(self.num_opt(key)?.unwrap_or(default))
+    }
+
+    /// Parsed numeric option that is `None` when absent.
+    pub fn num_opt<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, String> {
         match self.options.get(key) {
-            None => Ok(default),
+            None => Ok(None),
             Some(v) => v
                 .parse()
+                .map(Some)
                 .map_err(|_| format!("option --{key}: cannot parse {v:?}")),
         }
     }

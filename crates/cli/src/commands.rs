@@ -4,10 +4,14 @@ use crate::args::Args;
 use netmaster_core::policies::{
     BatchPolicy, DefaultPolicy, DelayPolicy, NetMasterPolicy, OraclePolicy,
 };
-use netmaster_core::NetMasterConfig;
+use netmaster_core::{MiddlewareService, NetMasterConfig};
 use netmaster_mining::{
     cross_day_matrix, habit_stability, predict_active_slots, prediction_accuracy, HourlyHistory,
     PredictionConfig, SpecialApps,
+};
+use netmaster_obs::{
+    AlertEngine, AlertRule, MetricStore, ObsServer, ProfileReport, Profiler, Sampler, ServeOptions,
+    ServeState, StoreOptions, TelemetryHub,
 };
 use netmaster_radio::{LinkModel, RrcConfig, RrcModel};
 use netmaster_sim::{simulate, Policy, RunMetrics, SimConfig};
@@ -18,6 +22,9 @@ use netmaster_trace::time::DayKind;
 use netmaster_trace::trace::Trace;
 use std::fs;
 use std::io::Write;
+use std::path::PathBuf;
+use std::sync::Arc;
+use std::time::Duration;
 
 /// Top-level usage text.
 pub const USAGE: &str = "\
@@ -33,11 +40,6 @@ COMMANDS:
       --seed N              RNG seed (default 2014)
       --out FILE            output path (default trace.json); `-` for stdout
   profile <trace.json>    Habit & traffic statistics of a trace
-      --url URL             pull a CPU profile from a live server's /profile instead
-      --secs N              sampling window for --url (default 0 = since start, max 60)
-      --fmt FORMAT          folded (flamegraph-ready) | json (default folded)
-      --out FILE            write the profile to FILE instead of stdout
-      --timeout-secs X      connect/read timeout for --url requests (default 10)
   predict <trace.json>    Predict user active slots from a trace
       --delta X             uniform threshold δ (default: 0.2 weekday / 0.1 weekend)
       --train N             training days (default all but the last 7)
@@ -57,33 +59,18 @@ COMMANDS:
   fleet                   Simulate N synthetic users, report the saving distribution
       --users N             fleet size (default 20)
       --seed N              base seed (default 2014)
-      --serve               expose live scrape endpoints while the fleet runs
-      --addr HOST:PORT      bind address for --serve (default 127.0.0.1:9898)
-      --sample-secs X       metrics-history sampling cadence for --serve (default 1)
-      --retention N         history points kept per series (default 4096)
-      --history FILE        persist sampled history segments (history.nmts)
-      --alerts SPECS        `;`-separated alert rules (name:metric<v:for=N:sev=page …)
+      --serve               expose live scrape endpoints while the fleet runs (SERVE OPTIONS)
       --registry FILE       append a provenance-stamped result row (JSONL)
-      --profile-hz N        sample live span stacks at N Hz, served on /profile
-      --traces N            span-tree ring capacity for --serve (default 256)
-  serve-obs               Run a telemetry workload and serve it over HTTP
-      --addr HOST:PORT      bind address (default 127.0.0.1:9898; port 0 picks one)
+  serve-obs               Run a telemetry workload and serve it over HTTP (SERVE OPTIONS)
       --users N             simulated users (default 3)
       --days N              days per user, most training (default 16)
       --seed N              base seed (default 2014)
-      --drop-threshold N    /healthz turns 503 past this many ring drops (default 0)
       --linger-secs N       keep serving N seconds after the workload (default 0)
-      --sample-secs X       metrics-history sampling cadence (default 1)
-      --retention N         history points kept per series (default 4096)
-      --history FILE        persist sampled history segments (history.nmts)
-      --alerts SPECS        `;`-separated alert rules evaluated every sample
-      --profile-hz N        sample live span stacks at N Hz, served on /profile
-      --traces N            span-tree ring capacity (default 256)
   obs                     Run a small simulated fleet and print its telemetry
       --users N             simulated users (default 3)
       --days N              days per user, most training (default 16)
       --seed N              base seed (default 2014)
-      --url URL             scrape a live serve-obs endpoint instead of running
+      --url URL             scrape a live serving run instead of running
       --timeout-secs X      connect/read timeout for --url requests (default 10)
       --query METRIC        window-query one recorded series on the server
       --fn NAME             query function: range | rate | increase | quantile (default range)
@@ -91,7 +78,10 @@ COMMANDS:
       --step MS             downsample range output to one point per step
       --q X                 quantile for --fn quantile (default 0.5)
       --series              list the server's recorded history series
-      --json                JSON metrics snapshot instead of the table
+      --flame               pull the server's CPU profile as flamegraph-ready folded stacks
+      --secs N              --flame sampling window (default 0 = since start, max 60)
+      --out FILE            write the --flame profile to FILE instead of stdout
+      --json                JSON instead of the table (with --flame: the JSON profile report)
       --prom                Prometheus text exposition instead of the table
       --journal FILE        also drain the decision-audit journal to JSONL
   watch                   Watch a simulated fleet for habit drift, report per-user health
@@ -101,15 +91,8 @@ COMMANDS:
       --shift-user I        inject a 12-hour rhythm shift into member I
       --shift-day N         first shifted day (default 2/3 into the run)
       --worst K             worst members detailed in the report (default 3)
-      --serve               expose live scrape endpoints while the fleet runs
-      --addr HOST:PORT      bind address for --serve (default 127.0.0.1:9898)
-      --sample-secs X       metrics-history sampling cadence for --serve (default 1)
-      --retention N         history points kept per series (default 4096)
-      --history FILE        persist sampled history segments (history.nmts)
-      --alerts SPECS        `;`-separated alert rules (name:metric<v:for=N:sev=page …)
+      --serve               expose live scrape endpoints while the fleet runs (SERVE OPTIONS)
       --registry FILE       append a provenance-stamped result row (JSONL)
-      --profile-hz N        sample live span stacks at N Hz, served on /profile
-      --traces N            span-tree ring capacity for --serve (default 256)
       --json                machine-readable fleet health report
       --journal FILE        drain the fleet's decision journals to JSONL
   explain                 Reconstruct causal chains and energy bills from the flight recorder
@@ -136,6 +119,14 @@ COMMANDS:
       --train N             NetMaster training days (default all prior days)
       --radio TECH          wcdma | lte
   help                    This text
+
+SERVE OPTIONS (fleet --serve, watch --serve, serve-obs):
+      --addr HOST:PORT      bind address (default 127.0.0.1:9898; port 0 picks one)
+      --sample-secs X       metrics-history sampling cadence (default 1)
+      --history FILE        persist sampled history segments (history.nmts)
+      --alerts SPECS        `;`-separated alert rules (name:metric<v:for=N:sev=page …)
+      --profile-hz N        sample live span stacks at N Hz, served on /profile
+      --traces N            span-tree ring capacity (default 256)
 ";
 
 /// Runs a parsed command, writing human output to `out`.
@@ -226,9 +217,6 @@ fn generate(args: &Args, out: &mut dyn Write) -> Result<(), String> {
 }
 
 fn profile(args: &Args, out: &mut dyn Write) -> Result<(), String> {
-    if let Some(url) = args.options.get("url") {
-        return profile_remote(url, args, out);
-    }
     let trace = load_trace(args)?;
     let split = traffic_split(&trace);
     let util = screen_on_utilization(&trace);
@@ -577,170 +565,236 @@ fn lint_cmd(args: &Args, out: &mut dyn Write) -> Result<(), String> {
     }
 }
 
-/// The live telemetry plane a `--serve` run stands up: the shared
-/// [`TelemetryHub`](netmaster_obs::TelemetryHub) the run publishes
-/// into, the scrape server, and the metrics-history sampler (plus an
-/// alert engine when `--alerts` rules were given).
-struct ServePlane {
-    hub: std::sync::Arc<netmaster_obs::TelemetryHub>,
-    server: netmaster_obs::ObsServer,
-    sampler: netmaster_obs::Sampler,
-    profiler: Option<netmaster_obs::Profiler>,
-}
-
-impl ServePlane {
-    /// Stops the sampler (one final sample, alert pass, and history
-    /// flush), joins the profiler thread, and drains the server.
-    fn finish(self) {
-        self.sampler.stop();
-        if let Some(profiler) = self.profiler {
-            profiler.stop();
-        }
-        self.server.shutdown();
+/// The one observability guard: `what` cannot run in a build with the
+/// obs layer compiled out (`--no-default-features`), because it would
+/// report an empty registry as if nothing happened.
+fn require_obs(what: &str) -> Result<(), String> {
+    if cfg!(feature = "obs") {
+        return Ok(());
     }
-}
-
-/// Builds the metrics-history recorder configuration shared by
-/// `--serve` runs and `serve-obs`: the bounded store
-/// (`--retention`), the optional alert engine (`--alerts`), the
-/// sampling cadence (`--sample-secs`), and the optional persist path
-/// (`--history`).
-#[allow(clippy::type_complexity)]
-fn history_plane(
-    args: &Args,
-) -> Result<
-    (
-        std::sync::Arc<netmaster_obs::MetricStore>,
-        Option<std::sync::Arc<netmaster_obs::AlertEngine>>,
-        std::time::Duration,
-        Option<std::path::PathBuf>,
-    ),
-    String,
-> {
-    use netmaster_obs::{AlertEngine, AlertRule, MetricStore, StoreOptions};
-    use std::sync::Arc;
-
-    let sample_secs: f64 = args.num("sample-secs", 1.0)?;
-    if !sample_secs.is_finite() || sample_secs <= 0.0 {
-        return Err("--sample-secs must be a positive number of seconds".into());
-    }
-    let retention: usize = args.num("retention", netmaster_obs::store::DEFAULT_RETENTION_POINTS)?;
-    let store = Arc::new(MetricStore::new(StoreOptions {
-        retention_points: retention,
-    }));
-    let engine = match args.options.get("alerts") {
-        Some(specs) => {
-            let rules = AlertRule::parse_list(specs)?;
-            if rules.is_empty() {
-                return Err("--alerts parsed to an empty rule set".into());
-            }
-            Some(Arc::new(AlertEngine::new(rules)))
-        }
-        None => None,
-    };
-    let persist = args.options.get("history").map(std::path::PathBuf::from);
-    Ok((
-        store,
-        engine,
-        std::time::Duration::from_secs_f64(sample_secs),
-        persist,
+    Err(format!(
+        "{what} needs observability, but this build has obs disabled \
+         (compiled with --no-default-features); rebuild with the default `obs` feature"
     ))
 }
 
-/// Parses the span-tracing and profiling options shared by every
-/// serving surface: `--traces N` resizes the global span-tree ring and
-/// `--profile-hz N` starts the always-on sampling profiler. Returns
-/// the running profiler (stop it when the run ends) so its aggregate
-/// can feed the server's `/profile` endpoint. Errors loudly when
-/// either flag is given but observability is compiled out.
-fn trace_profile_plane(args: &Args) -> Result<Option<netmaster_obs::Profiler>, String> {
-    let wants = args.options.contains_key("profile-hz") || args.options.contains_key("traces");
-    if !wants {
-        return Ok(None);
-    }
-    if !netmaster_obs::compiled() {
-        return Err(
-            "--profile-hz/--traces need observability, but this build has obs disabled \
-             (compiled with --no-default-features); rebuild with the default `obs` feature"
-                .into(),
-        );
-    }
-    if let Some(spec) = args.options.get("traces") {
-        let capacity: usize = spec
-            .parse()
-            .map_err(|_| format!("option --traces: cannot parse {spec:?}"))?;
-        netmaster_obs::TraceStore::global().set_capacity(capacity);
-    }
-    let Some(spec) = args.options.get("profile-hz") else {
-        return Ok(None);
-    };
-    let hz: u32 = spec
-        .parse()
-        .map_err(|_| format!("option --profile-hz: cannot parse {spec:?}"))?;
-    if hz == 0 {
-        return Err("--profile-hz must be ≥ 1 (omit the flag to disable profiling)".into());
-    }
-    Ok(Some(netmaster_obs::Profiler::start(hz)))
+/// Every option of a serving run (`fleet --serve`, `watch --serve`,
+/// `serve-obs`), parsed and validated before anything starts.
+#[derive(Debug, Clone, PartialEq)]
+struct ServeFlags {
+    /// Bind address (`--addr`; port 0 picks one).
+    addr: String,
+    /// Metrics-history sampling cadence (`--sample-secs`).
+    sample_every: Duration,
+    /// Where sampled history segments persist (`--history`).
+    history: Option<PathBuf>,
+    /// Alert rules evaluated after every sample (`--alerts`).
+    alerts: Vec<AlertRule>,
+    /// Span-stack sampling rate served on `/profile` (`--profile-hz`).
+    profile_hz: Option<u32>,
+    /// Span-tree ring capacity (`--traces`).
+    traces: Option<usize>,
 }
 
-/// Starts a scrape server when `--serve` was given: returns the
-/// [`ServePlane`] to publish into (call [`ServePlane::finish`] after
-/// the run). Errors loudly when observability is compiled out — a
-/// server over a disabled registry would scrape as all-empty.
-fn maybe_serve(args: &Args, out: &mut dyn Write) -> Result<Option<ServePlane>, String> {
-    use netmaster_obs::{ObsServer, Sampler, ServeOptions, ServeState, TelemetryHub};
-    use std::sync::Arc;
+impl ServeFlags {
+    /// The options only a serving run reads.
+    const NAMES: [&'static str; 6] = [
+        "addr",
+        "sample-secs",
+        "history",
+        "alerts",
+        "profile-hz",
+        "traces",
+    ];
 
-    if !args.flag("serve") {
-        if args.options.contains_key("profile-hz") || args.options.contains_key("traces") {
-            return Err(
-                "--profile-hz/--traces need --serve (there is no server to scrape \
-                        the profile or trace data from otherwise)"
-                    .into(),
-            );
+    /// Parses the serving options: `None` when the run does not serve
+    /// (no `--serve`, and not `serve-obs`), otherwise the validated
+    /// flags. Rejects any serving option given without `--serve`.
+    /// Starts nothing and changes no global state.
+    fn parse(args: &Args) -> Result<Option<ServeFlags>, String> {
+        let serve_obs = args.command == "serve-obs";
+        if !serve_obs && !args.flag("serve") {
+            return match Self::NAMES.iter().find(|k| args.options.contains_key(**k)) {
+                Some(k) => Err(format!("--{k} needs --serve (nothing serves it otherwise)")),
+                None => Ok(None),
+            };
         }
-        return Ok(None);
+        require_obs(if serve_obs { "serve-obs" } else { "--serve" })?;
+        let sample_secs: f64 = args.num("sample-secs", 1.0)?;
+        if !sample_secs.is_finite() || sample_secs <= 0.0 {
+            return Err("--sample-secs must be a positive number of seconds".into());
+        }
+        let alerts = match args.options.get("alerts") {
+            Some(specs) => {
+                let rules = AlertRule::parse_list(specs).map_err(|e| format!("--alerts: {e}"))?;
+                if rules.is_empty() {
+                    return Err("--alerts parsed to an empty rule set".into());
+                }
+                rules
+            }
+            None => Vec::new(),
+        };
+        let profile_hz = args.num_opt("profile-hz")?;
+        if profile_hz == Some(0) {
+            return Err("--profile-hz must be ≥ 1 (omit the flag to disable profiling)".into());
+        }
+        Ok(Some(ServeFlags {
+            addr: args
+                .opt("addr", netmaster_obs::serve::DEFAULT_ADDR)
+                .to_owned(),
+            sample_every: Duration::from_secs_f64(sample_secs),
+            history: args.options.get("history").map(PathBuf::from),
+            alerts,
+            profile_hz,
+            traces: args.num_opt("traces")?,
+        }))
     }
-    if !netmaster_obs::compiled() {
-        return Err(
-            "--serve needs observability, but this build has obs disabled \
-             (compiled with --no-default-features); rebuild with the default `obs` feature"
-                .into(),
+}
+
+/// The live telemetry plane a serving run stands up: the shared
+/// [`TelemetryHub`] the run publishes into, the metrics-history store,
+/// the scrape server, the sampler (which also drives the alert engine),
+/// and the optional span-stack profiler.
+struct ServePlane {
+    hub: Arc<TelemetryHub>,
+    store: Arc<MetricStore>,
+    server: ObsServer,
+    sampler: Sampler,
+    profiler: Option<Profiler>,
+}
+
+impl ServePlane {
+    /// Starts everything `flags` asks for and announces the bound
+    /// address. A failed bind stops the profiler again and leaves the
+    /// span-tree ring as it was.
+    fn start(flags: &ServeFlags, out: &mut dyn Write) -> Result<ServePlane, String> {
+        let profiler = flags.profile_hz.map(Profiler::start);
+        let hub = Arc::new(TelemetryHub::new());
+        let store = Arc::new(MetricStore::new(StoreOptions::default()));
+        let alerts =
+            (!flags.alerts.is_empty()).then(|| Arc::new(AlertEngine::new(flags.alerts.clone())));
+        let state = ServeState {
+            store: Some(Arc::clone(&store)),
+            alerts: alerts.clone(),
+            profile: profiler.as_ref().map(Profiler::agg),
+        };
+        let opts = ServeOptions {
+            addr: flags.addr.clone(),
+            ..ServeOptions::default()
+        };
+        let server = match ObsServer::start_with(opts, Arc::clone(&hub), state) {
+            Ok(server) => server,
+            Err(e) => {
+                if let Some(profiler) = profiler {
+                    profiler.stop();
+                }
+                return Err(e);
+            }
+        };
+        if let Some(capacity) = flags.traces {
+            netmaster_obs::TraceStore::global().set_capacity(capacity);
+        }
+        let sampler = Sampler::start(
+            Arc::clone(&store),
+            alerts,
+            Some(Arc::clone(&hub)),
+            flags.sample_every,
+            flags.history.clone(),
         );
+        writeln!(out, "serving telemetry on {}", server.base_url()).map_err(io_err)?;
+        if let Some(profiler) = &profiler {
+            writeln!(out, "profiling span stacks at {} Hz", profiler.hz()).map_err(io_err)?;
+        }
+        Ok(ServePlane {
+            hub,
+            store,
+            server,
+            sampler,
+            profiler,
+        })
     }
-    let profiler = trace_profile_plane(args)?;
-    let hub = Arc::new(TelemetryHub::new());
-    let (store, engine, interval, persist) = history_plane(args)?;
-    let opts = ServeOptions {
-        addr: args
-            .opt("addr", netmaster_obs::serve::DEFAULT_ADDR)
-            .to_owned(),
-        drop_threshold: args.num("drop-threshold", 0)?,
-        ..ServeOptions::default()
-    };
-    let state = ServeState {
-        store: Some(Arc::clone(&store)),
-        alerts: engine.clone(),
-        profile: profiler.as_ref().map(|p| p.agg()),
-    };
-    let server = ObsServer::start_with(opts, Arc::clone(&hub), state)?;
-    let sampler = Sampler::start(store, engine, Some(Arc::clone(&hub)), interval, persist);
-    writeln!(out, "serving telemetry on {}", server.base_url()).map_err(io_err)?;
-    if let Some(profiler) = &profiler {
-        writeln!(out, "profiling span stacks at {} Hz", profiler.hz()).map_err(io_err)?;
+
+    /// Stops the sampler (one final sample, alert pass, and history
+    /// flush), joins the profiler thread, and drains the server.
+    /// Returns the profiler's final report when one ran.
+    fn finish(self) -> Option<ProfileReport> {
+        self.sampler.stop();
+        let report = self.profiler.map(|profiler| {
+            let report = profiler.report();
+            profiler.stop();
+            report
+        });
+        self.server.shutdown();
+        report
     }
-    Ok(Some(ServePlane {
-        hub,
-        server,
-        sampler,
-        profiler,
-    }))
+}
+
+/// Synthetic fleet member `i`: seed `base_seed + i·7919`, panel profile
+/// `seed % 8`, `days` days long. Returns the member's seed and trace.
+fn member_trace(base_seed: u64, i: u64, days: usize) -> (u64, Trace) {
+    let seed = base_seed.wrapping_add(i * 7919);
+    let profile = UserProfile::panel().remove((seed % 8) as usize);
+    (
+        seed,
+        TraceGenerator::new(profile).with_seed(seed).generate(days),
+    )
+}
+
+/// The middleware workload of `obs`, `serve-obs` and `explain`:
+/// `--users` members (see [`member_trace`]), each trained on all but
+/// the last two of its `--days` days (capped at the paper's two weeks)
+/// so the executed days exercise the trained pipeline.
+struct Workload {
+    users: usize,
+    days: usize,
+    seed: u64,
+    train: usize,
+}
+
+impl Workload {
+    fn parse(args: &Args, default_users: usize) -> Result<Workload, String> {
+        let users: usize = args.num("users", default_users)?;
+        let days: usize = args.num("days", 16)?;
+        let seed: u64 = args.num("seed", 2014)?;
+        if users == 0 || days < 2 {
+            return Err(format!("{} needs --users ≥ 1 and --days ≥ 2", args.command));
+        }
+        Ok(Workload {
+            users,
+            days,
+            seed,
+            train: days.saturating_sub(2).min(14),
+        })
+    }
+
+    /// Lives each member of `members` through its executed days under
+    /// the middleware (ticking `hub` per day), then hands its index,
+    /// trace and service to `done`.
+    fn run(
+        &self,
+        members: std::ops::Range<u64>,
+        hub: Option<&TelemetryHub>,
+        mut done: impl FnMut(u64, &Trace, MiddlewareService),
+    ) {
+        for u in members {
+            let (_, trace) = member_trace(self.seed, u, self.days);
+            let mut svc = MiddlewareService::new().import_history(&trace.days[..self.train]);
+            for day in &trace.days[self.train..] {
+                let _ = svc.run_day(day);
+                if let Some(hub) = hub {
+                    hub.day_done();
+                }
+            }
+            done(u, &trace, svc);
+        }
+    }
 }
 
 /// Appends one provenance-stamped row to the `--registry` JSONL file
 /// when the option was given.
 fn maybe_register(
     args: &Args,
+    serve: Option<&ServeFlags>,
     out: &mut dyn Write,
     kind: &str,
     seed: u64,
@@ -753,7 +807,7 @@ fn maybe_register(
     // Profiling provenance: a row produced under an active sampling
     // profiler says so, because the profiler's overhead (however small)
     // is part of the run's conditions.
-    let config = match args.options.get("profile-hz") {
+    let config = match serve.and_then(|f| f.profile_hz) {
         Some(hz) => format!("{config} profile-hz={hz}"),
         None => config.to_owned(),
     };
@@ -772,8 +826,12 @@ fn fleet_cmd(args: &Args, out: &mut dyn Write) -> Result<(), String> {
     let n: usize = args.num("users", 20)?;
     let base_seed: u64 = args.num("seed", 2014)?;
     let train = 14usize;
-    let served = maybe_serve(args, out)?;
-    let hub = served.as_ref().map(|p| &p.hub);
+    let serve = ServeFlags::parse(args)?;
+    let plane = serve
+        .as_ref()
+        .map(|flags| ServePlane::start(flags, out))
+        .transpose()?;
+    let hub = plane.as_ref().map(|p| p.hub.as_ref());
     if let Some(hub) = hub {
         hub.begin_run(n as u64);
     }
@@ -781,16 +839,7 @@ fn fleet_cmd(args: &Args, out: &mut dyn Write) -> Result<(), String> {
         n,
         train,
         &SimConfig::default(),
-        |i| {
-            let seed = base_seed.wrapping_add(i as u64 * 7919);
-            let profile = UserProfile::panel().remove((seed % 8) as usize);
-            (
-                seed,
-                TraceGenerator::new(profile)
-                    .with_seed(seed)
-                    .generate(train + 7),
-            )
-        },
+        |i| member_trace(base_seed, i as u64, train + 7),
         |trace| {
             Box::new(
                 NetMasterPolicy::new(
@@ -801,14 +850,18 @@ fn fleet_cmd(args: &Args, out: &mut dyn Write) -> Result<(), String> {
                 .with_training(&trace.days[..train]),
             ) as Box<dyn Policy + Send>
         },
-        hub.map(|h| h.as_ref()),
+        hub,
     );
     if let Some(hub) = hub {
         hub.end_run();
     }
+    if let Some(plane) = plane {
+        plane.finish();
+    }
     writeln!(
         out,
-        "fleet of {n}: saving mean {:.3} (sd {:.3}, min {:.3}, max {:.3});          {:.0}% of members above 50%; affected max {:.4}",
+        "fleet of {n}: saving mean {:.3} (sd {:.3}, min {:.3}, max {:.3}); \
+         {:.0}% of members above 50%; affected max {:.4}",
         report.saving.mean,
         report.saving.std_dev,
         report.saving.min,
@@ -827,16 +880,13 @@ fn fleet_cmd(args: &Args, out: &mut dyn Write) -> Result<(), String> {
     kpis.insert("radio_saving_mean".to_owned(), report.radio_saving.mean);
     maybe_register(
         args,
+        serve.as_ref(),
         out,
         "fleet",
         base_seed,
         &format!("users={n} train={train} days={}", train + 7),
         kpis,
-    )?;
-    if let Some(plane) = served {
-        plane.finish();
-    }
-    Ok(())
+    )
 }
 
 /// Runs the `obs`-style middleware workload while a scrape server is
@@ -846,73 +896,23 @@ fn fleet_cmd(args: &Args, out: &mut dyn Write) -> Result<(), String> {
 /// `--linger-secs N` the server stays up after the workload so external
 /// scrapers (CI smoke, Prometheus) can pull the finished run.
 fn serve_obs_cmd(args: &Args, out: &mut dyn Write) -> Result<(), String> {
-    use netmaster_core::MiddlewareService;
-    use netmaster_obs::{ledger, ObsServer, Sampler, ServeOptions, ServeState, TelemetryHub};
-    use std::sync::Arc;
+    use netmaster_obs::ledger;
 
-    if !netmaster_obs::compiled() {
-        return Err(
-            "serve-obs needs observability, but this build has obs disabled \
-             (compiled with --no-default-features); rebuild with the default `obs` feature"
-                .into(),
-        );
-    }
-    let users: usize = args.num("users", 3)?;
-    let days: usize = args.num("days", 16)?;
-    let seed: u64 = args.num("seed", 2014)?;
+    let flags = ServeFlags::parse(args)?.ok_or("serve-obs always serves")?;
+    let work = Workload::parse(args, 3)?;
     let linger: u64 = args.num("linger-secs", 0)?;
-    if users == 0 || days < 2 {
-        return Err("serve-obs needs --users ≥ 1 and --days ≥ 2".into());
-    }
-    let train = days.saturating_sub(2).min(14);
-
-    let profiler = trace_profile_plane(args)?;
-    let hub = Arc::new(TelemetryHub::new());
-    let (store, engine, interval, persist) = history_plane(args)?;
-    let opts = ServeOptions {
-        addr: args
-            .opt("addr", netmaster_obs::serve::DEFAULT_ADDR)
-            .to_owned(),
-        drop_threshold: args.num("drop-threshold", 0)?,
-        ..ServeOptions::default()
-    };
-    let state = ServeState {
-        store: Some(Arc::clone(&store)),
-        alerts: engine.clone(),
-        profile: profiler.as_ref().map(|p| p.agg()),
-    };
-    let server = ObsServer::start_with(opts, Arc::clone(&hub), state)?;
-    writeln!(out, "serving telemetry on {}", server.base_url()).map_err(io_err)?;
-    if let Some(engine) = &engine {
-        writeln!(out, "evaluating {} alert rule(s)", engine.rules().len()).map_err(io_err)?;
-    }
-    if let Some(profiler) = &profiler {
-        writeln!(out, "profiling span stacks at {} Hz", profiler.hz()).map_err(io_err)?;
-    }
 
     netmaster_obs::reset();
-    let sampler = Sampler::start(
-        Arc::clone(&store),
-        engine,
-        Some(Arc::clone(&hub)),
-        interval,
-        persist.clone(),
-    );
-    hub.begin_run(users as u64);
+    let plane = ServePlane::start(&flags, out)?;
+    if !flags.alerts.is_empty() {
+        writeln!(out, "evaluating {} alert rule(s)", flags.alerts.len()).map_err(io_err)?;
+    }
+    let hub = plane.hub.as_ref();
+    hub.begin_run(work.users as u64);
     let mut records = Vec::new();
     let mut journal_lines = 0usize;
     let mut savings = Vec::new();
-    for u in 0..users as u64 {
-        let member_seed = seed.wrapping_add(u * 7919);
-        let profile = UserProfile::panel().remove((member_seed % 8) as usize);
-        let trace = TraceGenerator::new(profile)
-            .with_seed(member_seed)
-            .generate(days);
-        let mut svc = MiddlewareService::new().import_history(&trace.days[..train]);
-        for day in &trace.days[train..] {
-            let _ = svc.run_day(day);
-            hub.day_done();
-        }
+    work.run(0..work.users as u64, Some(hub), |_, _, mut svc| {
         let entries = svc.drain_journal();
         if let Ok(jsonl) = netmaster_obs::to_jsonl(&entries) {
             journal_lines += entries.len();
@@ -929,23 +929,25 @@ fn serve_obs_cmd(args: &Args, out: &mut dyn Write) -> Result<(), String> {
         let mean = savings.iter().sum::<f64>() / savings.len() as f64;
         netmaster_obs::gauge_set(netmaster_obs::names::FLEET_SAVING_RATIO, mean);
         hub.member_done();
-    }
+    });
     hub.end_run();
     writeln!(
         out,
-        "workload done: {users} users × {days} days ({train} training), \
+        "workload done: {} users × {} days ({} training), \
          {journal_lines} journal lines and {} ledger records published",
+        work.users,
+        work.days,
+        work.train,
         records.len()
     )
     .map_err(io_err)?;
 
     if linger > 0 {
         writeln!(out, "lingering for {linger} s — scrape away").map_err(io_err)?;
-        std::thread::sleep(std::time::Duration::from_secs(linger));
+        std::thread::sleep(Duration::from_secs(linger));
     }
-    sampler.stop();
-    if let Some(profiler) = profiler {
-        let report = profiler.report();
+    let store = Arc::clone(&plane.store);
+    if let Some(report) = plane.finish() {
         writeln!(
             out,
             "profiler captured {} samples over {} distinct stacks",
@@ -953,9 +955,7 @@ fn serve_obs_cmd(args: &Args, out: &mut dyn Write) -> Result<(), String> {
             report.stacks.len()
         )
         .map_err(io_err)?;
-        profiler.stop();
     }
-    server.shutdown();
     writeln!(
         out,
         "served {} requests; recorded {} history samples ({} dropped)",
@@ -964,7 +964,7 @@ fn serve_obs_cmd(args: &Args, out: &mut dyn Write) -> Result<(), String> {
         store.dropped_total(),
     )
     .map_err(io_err)?;
-    if let Some(path) = &persist {
+    if let Some(path) = &flags.history {
         writeln!(out, "history persisted to {}", path.display()).map_err(io_err)?;
     }
     Ok(())
@@ -977,35 +977,18 @@ fn serve_obs_cmd(args: &Args, out: &mut dyn Write) -> Result<(), String> {
 /// (`--no-default-features`) the command still runs and reports an
 /// empty snapshot.
 fn obs_cmd(args: &Args, out: &mut dyn Write) -> Result<(), String> {
-    use netmaster_core::MiddlewareService;
-
     if let Some(url) = args.options.get("url") {
         return obs_remote(url, args, out);
     }
-    let users: usize = args.num("users", 3)?;
-    let days: usize = args.num("days", 16)?;
-    let seed: u64 = args.num("seed", 2014)?;
-    if users == 0 || days < 2 {
-        return Err("obs needs --users ≥ 1 and --days ≥ 2".into());
+    if args.flag("flame") {
+        return Err("--flame needs --url (the profile lives in a serving run's process)".into());
     }
-    // Train on everything but the last two days (capped at the paper's
-    // two weeks) so the executed days exercise the trained pipeline.
-    let train = days.saturating_sub(2).min(14);
-
+    let work = Workload::parse(args, 3)?;
     netmaster_obs::reset();
     let mut journal = Vec::new();
-    for u in 0..users as u64 {
-        let member_seed = seed.wrapping_add(u * 7919);
-        let profile = UserProfile::panel().remove((member_seed % 8) as usize);
-        let trace = TraceGenerator::new(profile)
-            .with_seed(member_seed)
-            .generate(days);
-        let mut svc = MiddlewareService::new().import_history(&trace.days[..train]);
-        for day in &trace.days[train..] {
-            let _ = svc.run_day(day);
-        }
+    work.run(0..work.users as u64, None, |_, _, mut svc| {
         journal.extend(svc.drain_journal());
-    }
+    });
 
     let snap = netmaster_obs::snapshot();
     if let Some(path) = args.options.get("journal") {
@@ -1025,7 +1008,8 @@ fn obs_cmd(args: &Args, out: &mut dyn Write) -> Result<(), String> {
     } else {
         writeln!(
             out,
-            "telemetry of {users} users × {days} days ({train} training):\n"
+            "telemetry of {} users × {} days ({} training):\n",
+            work.users, work.days, work.train
         )
         .map_err(io_err)?;
         write!(out, "{}", snap.render_table()).map_err(io_err)?;
@@ -1034,37 +1018,54 @@ fn obs_cmd(args: &Args, out: &mut dyn Write) -> Result<(), String> {
     Ok(())
 }
 
+/// A live serving run as the `obs --url` client reaches it: the base
+/// URL and the per-request connect/read timeout.
+struct Remote<'a> {
+    base: &'a str,
+    timeout: Duration,
+}
+
+impl Remote<'_> {
+    /// GETs `path`; anything but a 200 is an error carrying the body.
+    fn get(&self, path: &str) -> Result<String, String> {
+        let url = format!("{}{path}", self.base);
+        let (status, body) = netmaster_obs::http_get_with_timeout(&url, self.timeout)?;
+        if status != 200 {
+            return Err(format!("GET {url} returned {status}: {}", body.trim()));
+        }
+        Ok(body)
+    }
+}
+
 /// `netmaster obs --url` — scrape a live `serve-obs` (or `--serve`)
 /// endpoint instead of running a local workload. `--prom` fetches and
 /// validates the `/metrics` exposition; `--series` lists the recorded
 /// history series; `--query METRIC` runs one window query (`--fn`,
-/// `--from`, `--to`, `--step`, `--q`); otherwise `/snapshot` renders
-/// through the same table/JSON paths as a local run. All requests
-/// honour `--timeout-secs`. Works in no-obs builds too: the telemetry
-/// lives in the *server's* process.
+/// `--from`, `--to`, `--step`, `--q`); `--flame` pulls the CPU profile;
+/// otherwise `/snapshot` renders through the same table/JSON paths as a
+/// local run. All requests honour `--timeout-secs`. Works in no-obs
+/// builds too: the telemetry lives in the *server's* process.
 fn obs_remote(url: &str, args: &Args, out: &mut dyn Write) -> Result<(), String> {
-    let base = url.trim_end_matches('/');
     let timeout_secs: f64 = args.num("timeout-secs", 10.0)?;
     if !timeout_secs.is_finite() || timeout_secs <= 0.0 {
         return Err("--timeout-secs must be a positive number of seconds".into());
     }
-    let timeout = std::time::Duration::from_secs_f64(timeout_secs);
-    let get = |path: &str| netmaster_obs::http_get_with_timeout(&format!("{base}{path}"), timeout);
+    let remote = Remote {
+        base: url.trim_end_matches('/'),
+        timeout: Duration::from_secs_f64(timeout_secs),
+    };
+    if args.flag("flame") {
+        return obs_flame(remote, args, out);
+    }
     if args.flag("series") {
-        let (status, body) = get("/series")?;
-        if status != 200 {
-            return Err(format!(
-                "GET {base}/series returned {status}: {}",
-                body.trim()
-            ));
-        }
+        let body = remote.get("/series")?;
         if args.flag("json") {
             writeln!(out, "{body}").map_err(io_err)?;
             return Ok(());
         }
         let rows: Vec<netmaster_obs::serve::SeriesInfo> =
             serde_json::from_str(&body).map_err(|e| format!("bad series list: {e}"))?;
-        writeln!(out, "{} recorded series on {base}:", rows.len()).map_err(io_err)?;
+        writeln!(out, "{} recorded series on {}:", rows.len(), remote.base).map_err(io_err)?;
         for r in rows {
             writeln!(
                 out,
@@ -1076,24 +1077,18 @@ fn obs_remote(url: &str, args: &Args, out: &mut dyn Write) -> Result<(), String>
         return Ok(());
     }
     if let Some(metric) = args.options.get("query") {
-        return obs_query(base, metric, args, out, &get);
+        return obs_query(&remote, metric, args, out);
     }
     if args.flag("prom") {
-        let (status, body) = get("/metrics")?;
-        if status != 200 {
-            return Err(format!("GET {base}/metrics returned {status}"));
-        }
+        let body = remote.get("/metrics")?;
         netmaster_obs::validate_prometheus(&body)
-            .map_err(|e| format!("invalid exposition from {base}: {e}"))?;
+            .map_err(|e| format!("invalid exposition from {}: {e}", remote.base))?;
         write!(out, "{body}").map_err(io_err)?;
         return Ok(());
     }
-    let (status, body) = get("/snapshot")?;
-    if status != 200 {
-        return Err(format!("GET {base}/snapshot returned {status}"));
-    }
-    let snap: netmaster_obs::Snapshot =
-        serde_json::from_str(&body).map_err(|e| format!("bad snapshot from {base}: {e}"))?;
+    let body = remote.get("/snapshot")?;
+    let snap: netmaster_obs::Snapshot = serde_json::from_str(&body)
+        .map_err(|e| format!("bad snapshot from {}: {e}", remote.base))?;
     if args.flag("json") {
         writeln!(
             out,
@@ -1102,25 +1097,20 @@ fn obs_remote(url: &str, args: &Args, out: &mut dyn Write) -> Result<(), String>
         )
         .map_err(io_err)?;
     } else {
-        writeln!(out, "telemetry scraped from {base}:\n").map_err(io_err)?;
+        writeln!(out, "telemetry scraped from {}:\n", remote.base).map_err(io_err)?;
         write!(out, "{}", snap.render_table()).map_err(io_err)?;
     }
     Ok(())
 }
 
-/// HTTP GET closure shared by the remote query subcommands: path in,
-/// `(status, body)` out.
-type HttpGet<'a> = &'a dyn Fn(&str) -> Result<(u16, String), String>;
-
 /// `netmaster obs --url --query METRIC` — one `/query` request,
 /// rendered as a point table for `range` and as the raw JSON scalar
 /// for `rate`/`increase`/`quantile`.
 fn obs_query(
-    base: &str,
+    remote: &Remote,
     metric: &str,
     args: &Args,
     out: &mut dyn Write,
-    get: HttpGet,
 ) -> Result<(), String> {
     let func = args.opt("fn", "range");
     let mut path = format!("/query?metric={metric}&fn={func}");
@@ -1129,13 +1119,7 @@ fn obs_query(
             path.push_str(&format!("&{key}={v}"));
         }
     }
-    let (status, body) = get(&path)?;
-    if status != 200 {
-        return Err(format!(
-            "GET {base}{path} returned {status}: {}",
-            body.trim()
-        ));
-    }
+    let body = remote.get(&path)?;
     if args.flag("json") || func != "range" {
         writeln!(out, "{}", body.trim_end()).map_err(io_err)?;
         return Ok(());
@@ -1149,16 +1133,12 @@ fn obs_query(
     Ok(())
 }
 
-/// `netmaster profile --url URL` — pull a folded-stack CPU profile
-/// from a live serving run's `/profile` endpoint. The folded format is
-/// exactly what `flamegraph.pl` / `inferno-flamegraph` consume, so
-/// `--out fleet.folded` is one pipe away from a flamegraph SVG.
-fn profile_remote(url: &str, args: &Args, out: &mut dyn Write) -> Result<(), String> {
-    let base = url.trim_end_matches('/');
-    let timeout_secs: f64 = args.num("timeout-secs", 10.0)?;
-    if !timeout_secs.is_finite() || timeout_secs <= 0.0 {
-        return Err("--timeout-secs must be a positive number of seconds".into());
-    }
+/// `netmaster obs --url URL --flame` — pull a CPU profile from a live
+/// serving run's `/profile` endpoint: folded stacks (exactly what
+/// `flamegraph.pl` / `inferno-flamegraph` consume, so `--out
+/// fleet.folded` is one pipe away from an SVG), or the JSON report
+/// with `--json`. `--secs N` asks for an N-second window.
+fn obs_flame(remote: Remote, args: &Args, out: &mut dyn Write) -> Result<(), String> {
     let secs: u64 = args.num("secs", 0)?;
     if secs > netmaster_obs::MAX_PROFILE_WINDOW_SECS {
         return Err(format!(
@@ -1166,29 +1146,23 @@ fn profile_remote(url: &str, args: &Args, out: &mut dyn Write) -> Result<(), Str
             netmaster_obs::MAX_PROFILE_WINDOW_SECS
         ));
     }
-    let fmt = args.opt("fmt", "folded");
-    if fmt != "folded" && fmt != "json" {
-        return Err(format!("--fmt must be folded or json, got {fmt:?}"));
-    }
+    let json = args.flag("json");
     // A windowed profile blocks server-side for the window, so the
     // request timeout has to outlive it.
-    let timeout = std::time::Duration::from_secs_f64(timeout_secs.max(secs as f64 + 5.0));
-    let path = format!("/profile?secs={secs}&fmt={fmt}");
-    let (status, body) = netmaster_obs::http_get_with_timeout(&format!("{base}{path}"), timeout)?;
-    if status != 200 {
-        return Err(format!(
-            "GET {base}{path} returned {status}: {}",
-            body.trim()
-        ));
-    }
+    let remote = Remote {
+        timeout: remote.timeout.max(Duration::from_secs(secs + 5)),
+        ..remote
+    };
+    let fmt = if json { "json" } else { "folded" };
+    let body = remote.get(&format!("/profile?secs={secs}&fmt={fmt}"))?;
     // Validate before writing: a half-scraped or malformed profile
     // should fail here, not downstream in the flamegraph tooling.
-    let report = if fmt == "json" {
-        serde_json::from_str::<netmaster_obs::ProfileReport>(&body)
-            .map_err(|e| format!("bad profile JSON from {base}: {e}"))?
+    let report = if json {
+        serde_json::from_str::<ProfileReport>(&body)
+            .map_err(|e| format!("bad profile JSON from {}: {e}", remote.base))?
     } else {
-        netmaster_obs::ProfileReport::parse_folded(&body)
-            .map_err(|e| format!("bad folded profile from {base}: {e}"))?
+        ProfileReport::parse_folded(&body)
+            .map_err(|e| format!("bad folded profile from {}: {e}", remote.base))?
     };
     match args.options.get("out") {
         Some(path) => {
@@ -1229,9 +1203,8 @@ fn watch_cmd(args: &Args, out: &mut dyn Write) -> Result<(), String> {
     if users == 0 || days < 8 {
         return Err("watch needs --users ≥ 1 and --days ≥ 8".into());
     }
-    let shift = match args.options.get("shift-user") {
-        Some(_) => {
-            let user_index: usize = args.num("shift-user", 0)?;
+    let shift = match args.num_opt::<usize>("shift-user")? {
+        Some(user_index) => {
             if user_index >= users {
                 return Err(format!("--shift-user {user_index} out of range 0..{users}"));
             }
@@ -1254,8 +1227,12 @@ fn watch_cmd(args: &Args, out: &mut dyn Write) -> Result<(), String> {
         shift,
         ..WatchSpec::default()
     };
-    let served = maybe_serve(args, out)?;
-    let outcomes = match &served {
+    let serve = ServeFlags::parse(args)?;
+    let plane = serve
+        .as_ref()
+        .map(|flags| ServePlane::start(flags, out))
+        .transpose()?;
+    let outcomes = match &plane {
         // Live mode: each finished member folds into an incremental
         // fleet-health snapshot the scrape server serves on
         // `/health/fleet` while later members are still running.
@@ -1281,7 +1258,7 @@ fn watch_cmd(args: &Args, out: &mut dyn Write) -> Result<(), String> {
     let cards: Vec<Scorecard> = outcomes.iter().map(|o| o.scorecard.clone()).collect();
     let health = FleetHealth::from_scorecards(&cards, worst);
 
-    if let Some(plane) = &served {
+    if let Some(plane) = plane {
         let hub = &plane.hub;
         if let Ok(json) = serde_json::to_string(&health) {
             hub.publish_fleet_health_json(json);
@@ -1293,6 +1270,7 @@ fn watch_cmd(args: &Args, out: &mut dyn Write) -> Result<(), String> {
         if let Ok(jsonl) = netmaster_obs::to_jsonl(&entries) {
             hub.publish_journal_jsonl(&jsonl);
         }
+        plane.finish();
     }
     let mut kpis = std::collections::BTreeMap::new();
     kpis.insert("members".to_owned(), users as f64);
@@ -1301,6 +1279,7 @@ fn watch_cmd(args: &Args, out: &mut dyn Write) -> Result<(), String> {
     kpis.insert("critical".to_owned(), health.critical as f64);
     maybe_register(
         args,
+        serve.as_ref(),
         out,
         "watch",
         seed,
@@ -1313,9 +1292,6 @@ fn watch_cmd(args: &Args, out: &mut dyn Write) -> Result<(), String> {
         ),
         kpis,
     )?;
-    if let Some(plane) = served {
-        plane.finish();
-    }
 
     if let Some(path) = args.options.get("journal") {
         let entries: Vec<_> = outcomes.into_iter().flat_map(|o| o.journal).collect();
@@ -1410,16 +1386,10 @@ fn watch_cmd(args: &Args, out: &mut dyn Write) -> Result<(), String> {
     Ok(())
 }
 
-/// With observability compiled out there are no drift monitors, no
-/// journal, and no scorecards — fail loudly rather than print an empty
-/// report.
+/// Without observability there are no drift monitors or scorecards.
 #[cfg(not(feature = "obs"))]
 fn watch_cmd(_args: &Args, _out: &mut dyn Write) -> Result<(), String> {
-    Err(
-        "the watch command needs observability, but this build has obs disabled \
-         (compiled with --no-default-features); rebuild with the default `obs` feature"
-            .into(),
-    )
+    require_obs("the watch command")
 }
 
 /// Reconstructs the flight recorder's view of a simulated fleet: every
@@ -1430,62 +1400,35 @@ fn watch_cmd(_args: &Args, _out: &mut dyn Write) -> Result<(), String> {
 /// rollup, JSON output, and JSONL export.
 #[cfg(feature = "obs")]
 fn explain_cmd(args: &Args, out: &mut dyn Write) -> Result<(), String> {
-    use netmaster_core::MiddlewareService;
     use netmaster_obs::{ledger, ActivityTrace};
     use netmaster_sim::FleetLedger;
     use netmaster_trace::event::{AppId, TraceId};
     use std::collections::HashMap;
 
-    let users: usize = args.num("users", 2)?;
-    let days: usize = args.num("days", 16)?;
-    let seed: u64 = args.num("seed", 2014)?;
+    let work = Workload::parse(args, 2)?;
+    let (users, days, train) = (work.users, work.days, work.train);
     let worst: usize = args.num("worst", 3)?;
-    if users == 0 || days < 2 {
-        return Err("explain needs --users ≥ 1 and --days ≥ 2".into());
+    let only_user: Option<usize> = args.num_opt("user")?;
+    if let Some(u) = only_user.filter(|&u| u >= users) {
+        return Err(format!("--user {u} out of range 0..{users}"));
     }
-    let train = days.saturating_sub(2).min(14);
-
-    let only_user = match args.options.get("user") {
-        Some(_) => {
-            let u: usize = args.num("user", 0)?;
-            if u >= users {
-                return Err(format!("--user {u} out of range 0..{users}"));
-            }
-            Some(u)
-        }
-        None => None,
-    };
-    let only_day: Option<usize> = match args.options.get("day") {
-        Some(_) => Some(args.num("day", 0)?),
-        None => None,
-    };
-    let only_app: Option<u16> = match args.options.get("app") {
-        Some(_) => Some(args.num("app", 0)?),
-        None => None,
-    };
+    let only_day: Option<usize> = args.num_opt("day")?;
+    let only_app: Option<u16> = args.num_opt("app")?;
     let only_activity: Option<TraceId> = match args.options.get("activity") {
         Some(s) => Some(s.parse()?),
         None => None,
     };
 
     // Live the executed days under the middleware and drain each
-    // member's flight recorder (same member seeding as `obs`/`fleet`).
+    // member's flight recorder.
     let mut per_user: Vec<(u32, Vec<ActivityTrace>)> = Vec::new();
     // App ids are per-user registries, so names key on (user, app id).
     let mut app_names: HashMap<(u32, u16), String> = HashMap::new();
-    for u in 0..users {
-        if only_user.is_some() && only_user != Some(u) {
-            continue;
-        }
-        let member_seed = seed.wrapping_add(u as u64 * 7919);
-        let profile = UserProfile::panel().remove((member_seed % 8) as usize);
-        let trace = TraceGenerator::new(profile)
-            .with_seed(member_seed)
-            .generate(days);
-        let mut svc = MiddlewareService::new().import_history(&trace.days[..train]);
-        for day in &trace.days[train..] {
-            let _ = svc.run_day(day);
-        }
+    let members = match only_user {
+        Some(u) => u as u64..u as u64 + 1,
+        None => 0..users as u64,
+    };
+    work.run(members, None, |u, trace, mut svc| {
         let mut records = svc.drain_ledger();
         records.retain(|r| {
             only_day.is_none_or(|d| r.day == d)
@@ -1500,7 +1443,7 @@ fn explain_cmd(args: &Args, out: &mut dyn Write) -> Result<(), String> {
             }
         }
         per_user.push((u as u32, records));
-    }
+    });
 
     let fleet = FleetLedger::from_user_records(&per_user, worst);
     let all: Vec<ActivityTrace> = per_user
@@ -1787,16 +1730,10 @@ fn write_causal_chain(
     Ok(())
 }
 
-/// With observability compiled out the policy records no lifecycle
-/// traces, so there are no causal chains to reconstruct — fail loudly
-/// rather than print an empty ledger.
+/// Without observability the policy records no lifecycle traces.
 #[cfg(not(feature = "obs"))]
 fn explain_cmd(_args: &Args, _out: &mut dyn Write) -> Result<(), String> {
-    Err(
-        "the explain command needs observability, but this build has obs disabled \
-         (compiled with --no-default-features); rebuild with the default `obs` feature"
-            .into(),
-    )
+    require_obs("the explain command")
 }
 
 fn timeline_cmd(args: &Args, out: &mut dyn Write) -> Result<(), String> {
@@ -2119,16 +2056,6 @@ mod tests {
         assert!(run_to_string(&args("watch --users 4 --shift-day 3")).is_err());
     }
 
-    /// Without the `obs` feature the watchtower does not exist; the
-    /// command must say so rather than print an empty report.
-    #[cfg(not(feature = "obs"))]
-    #[test]
-    fn watch_command_degrades_without_obs() {
-        let err = run_to_string(&args("watch")).unwrap_err();
-        assert!(err.contains("observability"), "{err}");
-        assert!(err.contains("obs disabled"), "{err}");
-    }
-
     /// One test drives every `explain` mode: summary table, drill-down
     /// into a worst-offender exemplar's causal chain, JSON rollup, and
     /// JSONL lifecycle export.
@@ -2199,16 +2126,6 @@ mod tests {
         assert!(run_to_string(&args("explain --users 2 --user 5")).is_err());
         assert!(run_to_string(&args("explain --activity bogus")).is_err());
         assert!(run_to_string(&args("explain --users 1 --days 16 --activity d99-a0")).is_err());
-    }
-
-    /// Without the `obs` feature the policy records no lifecycle
-    /// traces; the command must say so rather than print empty bills.
-    #[cfg(not(feature = "obs"))]
-    #[test]
-    fn explain_command_degrades_without_obs() {
-        let err = run_to_string(&args("explain")).unwrap_err();
-        assert!(err.contains("observability"), "{err}");
-        assert!(err.contains("obs disabled"), "{err}");
     }
 
     #[test]
@@ -2293,7 +2210,10 @@ mod tests {
         );
         assert!(out.contains("served "), "{out}");
         assert!(run_to_string(&args("serve-obs --users 0")).is_err());
-        assert!(run_to_string(&args("serve-obs --addr 999.999.0.1:x")).is_err());
+        // A failed bind stops the profiler the plane had already started.
+        let err =
+            run_to_string(&args("serve-obs --addr 999.999.0.1:x --profile-hz 97")).unwrap_err();
+        assert!(err.contains("cannot bind"), "{err}");
     }
 
     #[cfg(feature = "obs")]
@@ -2330,15 +2250,131 @@ mod tests {
         assert_eq!(rows[0].kpis.get("members"), Some(&3.0));
     }
 
-    /// Without observability a scrape server would serve an all-empty
-    /// registry — the serving entry points must say so loudly.
+    /// Without observability every entry point that needs it fails with
+    /// the one "obs disabled" error, flags or not; the remote client
+    /// still runs and fails on the transport instead.
     #[cfg(not(feature = "obs"))]
     #[test]
     fn serve_entry_points_degrade_without_obs() {
-        for cmd in ["serve-obs", "fleet --users 1 --serve"] {
+        for cmd in [
+            "watch --users 2 --days 10",
+            "explain --users 1 --days 10",
+            "serve-obs --addr 127.0.0.1:0",
+            "serve-obs --addr 127.0.0.1:0 --traces 128",
+            "fleet --users 1 --serve",
+            "fleet --users 1 --serve --profile-hz 97",
+            "fleet --users 1 --serve --sample-secs 0.5 --history h.nmts \
+             --alerts floor:fleet_saving_ratio<0.5:sev=page",
+            "watch --users 2 --days 10 --serve --alerts floor:fleet_saving_ratio<0.5",
+        ] {
             let err = run_to_string(&args(cmd)).unwrap_err();
+            assert!(err.contains("observability"), "{cmd}: {err}");
             assert!(err.contains("obs disabled"), "{cmd}: {err}");
         }
+        for cmd in [
+            "obs --url http://127.0.0.1:9 --timeout-secs 1 --query fleet_saving_ratio",
+            "obs --url http://127.0.0.1:9 --timeout-secs 1 --flame",
+        ] {
+            let err = run_to_string(&args(cmd)).unwrap_err();
+            assert!(err.contains("cannot connect"), "{cmd}: {err}");
+        }
+    }
+
+    /// `ServeFlags::parse` rejects one bad input per flag, and every
+    /// serving flag given without `--serve`, naming the flag each time.
+    #[cfg(feature = "obs")]
+    #[test]
+    fn serve_flags_reject_bad_input() {
+        let mut cases: Vec<(String, String)> = [
+            ("--sample-secs -3", "--sample-secs"),
+            ("--sample-secs 0", "--sample-secs"),
+            ("--sample-secs nan", "--sample-secs"),
+            ("--alerts bogus", "--alerts"),
+            ("--alerts ;", "--alerts parsed to an empty rule set"),
+            ("--profile-hz 0", "--profile-hz"),
+            ("--traces x", "--traces"),
+        ]
+        .into_iter()
+        .map(|(flag, want)| (format!("fleet --serve {flag}"), want.to_owned()))
+        .collect();
+        for k in ServeFlags::NAMES {
+            for cmd in ["fleet", "watch"] {
+                cases.push((format!("{cmd} --{k} 1"), format!("--{k} needs --serve")));
+            }
+        }
+        for (cmd, want) in cases {
+            let err = ServeFlags::parse(&args(&cmd)).unwrap_err();
+            assert!(err.contains(&want), "{cmd}: {err}");
+        }
+
+        assert_eq!(ServeFlags::parse(&args("fleet --users 3")), Ok(None));
+        let flags = ServeFlags::parse(&args(
+            "watch --serve --addr 127.0.0.1:0 --sample-secs 0.5 --history h.nmts \
+             --alerts floor:fleet_saving_ratio<0.5 --profile-hz 97 --traces 128",
+        ))
+        .unwrap()
+        .unwrap();
+        assert_eq!(flags.addr, "127.0.0.1:0");
+        assert_eq!(flags.sample_every, Duration::from_millis(500));
+        assert_eq!(flags.history, Some(PathBuf::from("h.nmts")));
+        assert_eq!(flags.alerts.len(), 1);
+        assert_eq!((flags.profile_hz, flags.traces), (Some(97), Some(128)));
+        // `serve-obs` always serves, on the defaults.
+        let flags = ServeFlags::parse(&args("serve-obs")).unwrap().unwrap();
+        assert_eq!(flags.addr, netmaster_obs::serve::DEFAULT_ADDR);
+        assert_eq!(flags.sample_every, Duration::from_secs(1));
+        assert!(flags.alerts.is_empty() && flags.profile_hz.is_none());
+    }
+
+    /// `obs --url --flame` pulls a live profiler's aggregate from a
+    /// serve plane: folded stacks that parse back, the JSON report, a
+    /// file via `--out`, and a hard error once the endpoint is gone.
+    #[test]
+    fn obs_flame_pulls_a_live_profile() {
+        let _g = registry_serial();
+        // Built directly rather than parsed, so the no-obs build (which
+        // refuses `--serve`) exercises the client too.
+        let flags = ServeFlags {
+            addr: "127.0.0.1:0".to_owned(),
+            sample_every: Duration::from_secs(1),
+            history: None,
+            alerts: Vec::new(),
+            profile_hz: Some(97),
+            traces: None,
+        };
+        let plane = ServePlane::start(&flags, &mut Vec::new()).unwrap();
+        if let Some(profiler) = &plane.profiler {
+            // Deterministic samples: this thread's open span, ticked by hand.
+            let _span = netmaster_obs::span!("cli_flame_probe");
+            for _ in 0..3 {
+                profiler.agg().tick();
+            }
+        }
+        let url = plane.server.base_url();
+
+        let folded = run_to_string(&args(&format!("obs --url {url} --flame"))).unwrap();
+        let report = ProfileReport::parse_folded(&folded).unwrap();
+        if netmaster_obs::compiled() {
+            assert!(report.samples_total >= 3, "{folded}");
+            assert!(folded.contains("cli_flame_probe"), "{folded}");
+        }
+        let json = run_to_string(&args(&format!("obs --url {url} --flame --json"))).unwrap();
+        let from_json: ProfileReport = serde_json::from_str(&json).unwrap();
+        assert!(from_json.samples_total >= report.samples_total);
+
+        let path = tmp("flame.folded");
+        let msg = run_to_string(&args(&format!("obs --url {url} --flame --out {path}"))).unwrap();
+        assert!(msg.contains("profile samples"), "{msg}");
+        let written = ProfileReport::parse_folded(&fs::read_to_string(&path).unwrap()).unwrap();
+        assert!(written.samples_total >= report.samples_total);
+
+        // Bad client options fail before any request.
+        assert!(run_to_string(&args("obs --flame")).is_err());
+        assert!(run_to_string(&args(&format!("obs --url {url} --flame --secs 61"))).is_err());
+
+        assert!(plane.finish().is_some());
+        // A dead endpoint is a hard error, not an empty profile.
+        assert!(run_to_string(&args(&format!("obs --url {url} --flame"))).is_err());
     }
 
     #[test]
