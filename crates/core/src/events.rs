@@ -321,21 +321,11 @@ mod tests {
         }
         recorder.db.flush();
 
-        let count_kinds = |records: &[Record]| {
-            let mut c = [0usize; 4];
-            for r in records {
-                match r {
-                    Record::Screen { .. } => c[0] += 1,
-                    Record::Foreground { .. } => c[1] += 1,
-                    Record::Bytes { .. } => c[2] += 1,
-                    Record::Network { .. } => c[3] += 1,
-                }
-            }
-            c
-        };
+        assert_eq!(recorder.db.persisted_len(), recorder.db.len());
+        assert_eq!(direct.db.persisted_len(), direct.db.len());
         assert_eq!(
-            count_kinds(recorder.db.persisted()),
-            count_kinds(direct.db.persisted()),
+            recorder.db.kind_counts(),
+            direct.db.kind_counts(),
             "bus path and direct path must record the same multiset"
         );
     }

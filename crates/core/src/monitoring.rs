@@ -85,12 +85,31 @@ impl Record {
     }
 }
 
-/// The on-device record store with a write-back cache.
+/// Records of each kind, counted by [`Database::kind_counts`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct KindCounts {
+    /// [`Record::Screen`] with `on: true`.
+    pub screen_on: u64,
+    /// [`Record::Screen`] with `on: false`.
+    pub screen_off: u64,
+    /// [`Record::Foreground`].
+    pub foreground: u64,
+    /// [`Record::Bytes`].
+    pub bytes: u64,
+    /// [`Record::Network`].
+    pub network: u64,
+}
+
+/// The on-device record store with a write-back cache, modelled by
+/// counting: nothing ever reads a record back, and the flush count is
+/// the cost that matters, so it keeps per-kind counts and the cache
+/// accounting, never the records themselves.
 #[derive(Debug, Clone, Default)]
 pub struct Database {
-    persisted: Vec<Record>,
-    cache: Vec<Record>,
+    kinds: KindCounts,
     cache_used: usize,
+    cached: usize,
+    persisted: usize,
     cache_capacity: usize,
     flushes: u64,
 }
@@ -105,9 +124,18 @@ impl Database {
     }
 
     /// Appends a record through the cache.
+    // lint:hot-path
     pub fn record(&mut self, r: Record) {
+        let kind = match r {
+            Record::Screen { on: true, .. } => &mut self.kinds.screen_on,
+            Record::Screen { on: false, .. } => &mut self.kinds.screen_off,
+            Record::Foreground { .. } => &mut self.kinds.foreground,
+            Record::Bytes { .. } => &mut self.kinds.bytes,
+            Record::Network { .. } => &mut self.kinds.network,
+        };
+        *kind += 1;
         self.cache_used += r.size_bytes();
-        self.cache.push(r);
+        self.cached += 1;
         if self.cache_used >= self.cache_capacity {
             self.flush();
         }
@@ -115,10 +143,11 @@ impl Database {
 
     /// Forces the cache to flash.
     pub fn flush(&mut self) {
-        if self.cache.is_empty() {
+        if self.cached == 0 {
             return;
         }
-        self.persisted.append(&mut self.cache);
+        self.persisted += self.cached;
+        self.cached = 0;
         self.cache_used = 0;
         self.flushes += 1;
     }
@@ -129,13 +158,18 @@ impl Database {
     }
 
     /// Records persisted to flash (excludes cached ones).
-    pub fn persisted(&self) -> &[Record] {
-        &self.persisted
+    pub fn persisted_len(&self) -> usize {
+        self.persisted
+    }
+
+    /// Records of each kind, cached or persisted.
+    pub fn kind_counts(&self) -> KindCounts {
+        self.kinds
     }
 
     /// Total records, cached or persisted.
     pub fn len(&self) -> usize {
-        self.persisted.len() + self.cache.len()
+        self.persisted + self.cached
     }
 
     /// `true` when nothing has been recorded.
@@ -152,10 +186,6 @@ pub struct Monitor {
     pub config: MonitorConfig,
     /// Backing store.
     pub db: Database,
-    /// Reusable per-day sample buffer: `(time, submission seq, down,
-    /// up)`. The seq key makes the alloc-free unstable sort reproduce
-    /// the stable by-time order exactly.
-    samples: Vec<(Timestamp, u32, u64, u64)>,
 }
 
 impl Monitor {
@@ -165,11 +195,11 @@ impl Monitor {
         Monitor {
             config,
             db: Database::new(config.cache_bytes),
-            samples: Vec::new(),
         }
     }
 
     /// Observes one day, emitting event- and time-triggered records.
+    // lint:hot-path
     pub fn observe_day(&mut self, day: &DayTrace) {
         // Event triggers: screen changes and foreground switches.
         for s in &day.sessions {
@@ -197,8 +227,9 @@ impl Monitor {
         }
         // Time triggers: sample byte counters. One sample per period
         // *that saw traffic* (idle samples carry no record — the real
-        // component reads counters but only writes deltas).
-        self.samples.clear();
+        // component reads counters but only writes deltas). Samples go
+        // in activity order, not time order: every `Bytes` record is
+        // the same size, so the order cannot move a flush.
         for a in &day.activities {
             let period = if day.screen_on_at(a.start) {
                 self.config.screen_on_timer
@@ -210,16 +241,12 @@ impl Monitor {
             let per_down = a.bytes_down / n_samples.max(1);
             let per_up = a.bytes_up / n_samples.max(1);
             for k in 0..n_samples {
-                let seq = self.samples.len() as u32;
-                self.samples
-                    .push((a.start + (k + 1) * period, seq, per_down, per_up));
+                self.db.record(Record::Bytes {
+                    at: a.start + (k + 1) * period,
+                    down: per_down,
+                    up: per_up,
+                });
             }
-        }
-        // (time, seq) makes the unstable sort order identical to a
-        // stable sort by time, without the stable sort's temp buffer.
-        self.samples.sort_unstable_by_key(|&(t, seq, ..)| (t, seq));
-        for &(at, _, down, up) in &self.samples {
-            self.db.record(Record::Bytes { at, down, up });
         }
     }
 
@@ -248,16 +275,19 @@ mod tests {
         // 100 B cache, 24 B records ⇒ flush every 5 records (120 ≥ 100).
         assert_eq!(db.flush_count(), 4);
         assert_eq!(db.len(), 20);
-        assert_eq!(db.persisted().len(), 20);
+        assert_eq!(db.persisted_len(), 20);
+        assert_eq!(db.kind_counts().bytes, 20);
     }
 
     #[test]
     fn explicit_flush_drains_cache() {
         let mut db = Database::new(1_000_000);
         db.record(Record::Screen { at: 1, on: true });
-        assert_eq!(db.persisted().len(), 0);
+        assert_eq!(db.persisted_len(), 0);
+        assert_eq!(db.len(), 1);
         db.flush();
-        assert_eq!(db.persisted().len(), 1);
+        assert_eq!(db.persisted_len(), 1);
+        assert_eq!(db.len(), 1);
         assert_eq!(db.flush_count(), 1);
         // Flushing an empty cache is a no-op.
         db.flush();
@@ -289,6 +319,49 @@ mod tests {
     }
 
     #[test]
+    fn observe_day_counts_are_pinned() {
+        // (profile, seed, days) → len, flushes before and after
+        // `finalize`, and kind counts.
+        let cases = [
+            (2, 4, 7, 7_734, 0, 1, [638, 638, 1_632, 3_332, 1_494]),
+            (
+                0,
+                2014,
+                365,
+                347_434,
+                12,
+                13,
+                [29_751, 29_751, 59_790, 168_192, 59_950],
+            ),
+        ];
+        for (profile, seed, days, len, flushes, final_flushes, [on, off, fg, bytes, net]) in cases {
+            let trace = TraceGenerator::new(UserProfile::panel().remove(profile))
+                .with_seed(seed)
+                .generate(days);
+            let mut mon = Monitor::new();
+            for d in &trace.days {
+                mon.observe_day(d);
+            }
+            assert_eq!(mon.db.len(), len);
+            assert_eq!(mon.db.flush_count(), flushes);
+            mon.finalize();
+            assert_eq!(mon.db.len(), len);
+            assert_eq!(mon.db.persisted_len(), len);
+            assert_eq!(mon.db.flush_count(), final_flushes);
+            assert_eq!(
+                mon.db.kind_counts(),
+                KindCounts {
+                    screen_on: on,
+                    screen_off: off,
+                    foreground: fg,
+                    bytes,
+                    network: net,
+                }
+            );
+        }
+    }
+
+    #[test]
     fn observe_day_emits_all_event_kinds() {
         let trace = TraceGenerator::new(UserProfile::panel().remove(0))
             .with_seed(8)
@@ -296,13 +369,13 @@ mod tests {
         let mut mon = Monitor::new();
         mon.observe_day(&trace.days[0]);
         mon.finalize();
-        let recs = mon.db.persisted();
-        let has = |f: &dyn Fn(&Record) -> bool| recs.iter().any(f);
-        assert!(has(&|r| matches!(r, Record::Screen { on: true, .. })));
-        assert!(has(&|r| matches!(r, Record::Screen { on: false, .. })));
-        assert!(has(&|r| matches!(r, Record::Foreground { .. })));
-        assert!(has(&|r| matches!(r, Record::Network { .. })));
-        assert!(has(&|r| matches!(r, Record::Bytes { .. })));
+        assert_eq!(mon.db.persisted_len(), mon.db.len());
+        let k = mon.db.kind_counts();
+        assert!(k.screen_on > 0);
+        assert!(k.screen_off > 0);
+        assert!(k.foreground > 0);
+        assert!(k.network > 0);
+        assert!(k.bytes > 0);
     }
 
     #[test]
@@ -329,11 +402,7 @@ mod tests {
             let mut mon = Monitor::new();
             mon.observe_day(day);
             mon.finalize();
-            mon.db
-                .persisted()
-                .iter()
-                .filter(|r| matches!(r, Record::Bytes { .. }))
-                .count()
+            mon.db.kind_counts().bytes
         };
         assert_eq!(count_bytes(&mk_day(false)), 2);
         assert_eq!(count_bytes(&mk_day(true)), 60);

@@ -33,11 +33,12 @@ pub fn truncated_normal<R: Rng + ?Sized>(rng: &mut R, mean: f64, sd: f64, lo: f6
     normal(rng, mean, sd).clamp(lo, hi)
 }
 
-/// Log-normal parameterized by the *target* median `m` and shape `sigma`
-/// (the sd of the underlying normal). Mean is `m * exp(sigma^2 / 2)`.
-pub fn log_normal<R: Rng + ?Sized>(rng: &mut R, median: f64, sigma: f64) -> f64 {
-    debug_assert!(median > 0.0);
-    (median.ln() + sigma * standard_normal(rng)).exp()
+/// Log-normal with median `m = exp(ln_median)` and shape `sigma` (the
+/// sd of the underlying normal). Mean is `m * exp(sigma^2 / 2)`. Callers
+/// pass `ln(m)` so a fixed median costs one `ln` per profile, not one
+/// per draw.
+pub fn log_normal<R: Rng + ?Sized>(rng: &mut R, ln_median: f64, sigma: f64) -> f64 {
+    (ln_median + sigma * standard_normal(rng)).exp()
 }
 
 /// Exponential with the given mean (`1/rate`).
@@ -47,25 +48,46 @@ pub fn exponential<R: Rng + ?Sized>(rng: &mut R, mean: f64) -> f64 {
     -mean * u.ln()
 }
 
-/// Poisson sample. Knuth's product method for small means; for large
-/// means a rounded normal approximation (fine for count generation).
-pub fn poisson<R: Rng + ?Sized>(rng: &mut R, mean: f64) -> u64 {
-    if mean <= 0.0 {
-        return 0;
+/// Poisson distribution. Knuth's product method for small means; for
+/// large means a rounded normal approximation (fine for count
+/// generation). [`Poisson::new`] computes Knuth's `exp(-mean)` limit,
+/// so a fixed mean pays for it once.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Poisson {
+    mean: f64,
+    /// `exp(-mean)` when `0 < mean < 30`.
+    limit: f64,
+}
+
+impl Poisson {
+    /// Poisson with the given mean; a mean ≤ 0 always samples 0.
+    pub fn new(mean: f64) -> Self {
+        let limit = if mean > 0.0 && mean < 30.0 {
+            (-mean).exp()
+        } else {
+            0.0
+        };
+        Poisson { mean, limit }
     }
-    if mean < 30.0 {
-        let limit = (-mean).exp();
-        let mut k = 0u64;
-        let mut p = 1.0f64;
-        loop {
-            p *= rng.random::<f64>();
-            if p <= limit {
-                return k;
-            }
-            k += 1;
+
+    /// Draws one sample.
+    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
+        if self.mean <= 0.0 {
+            return 0;
         }
-    } else {
-        normal(rng, mean, mean.sqrt()).round().max(0.0) as u64
+        if self.mean < 30.0 {
+            let mut k = 0u64;
+            let mut p = 1.0f64;
+            loop {
+                p *= rng.random::<f64>();
+                if p <= self.limit {
+                    return k;
+                }
+                k += 1;
+            }
+        } else {
+            normal(rng, self.mean, self.mean.sqrt()).round().max(0.0) as u64
+        }
     }
 }
 
@@ -81,9 +103,11 @@ pub fn bounded_pareto<R: Rng + ?Sized>(rng: &mut R, alpha: f64, lo: f64, hi: f64
 }
 
 /// Samples an index proportionally to `weights` (need not be normalized).
-/// Returns `None` when all weights are zero or the slice is empty.
-pub fn weighted_index<R: Rng + ?Sized>(rng: &mut R, weights: &[f64]) -> Option<usize> {
-    let total: f64 = weights.iter().copied().filter(|w| *w > 0.0).sum();
+/// `total` is [`positive_sum`] of `weights`, passed in so a weight table
+/// that is reused pays for it once. Returns `None` when all weights are
+/// zero or the slice is empty.
+pub fn weighted_index<R: Rng + ?Sized>(rng: &mut R, weights: &[f64], total: f64) -> Option<usize> {
+    debug_assert_eq!(total, positive_sum(weights));
     if total <= 0.0 {
         return None;
     }
@@ -99,6 +123,11 @@ pub fn weighted_index<R: Rng + ?Sized>(rng: &mut R, weights: &[f64]) -> Option<u
     }
     // Floating-point slack: return last positive-weight index.
     weights.iter().rposition(|&w| w > 0.0)
+}
+
+/// The sum of the positive entries of `weights`.
+pub fn positive_sum(weights: &[f64]) -> f64 {
+    weights.iter().copied().filter(|w| *w > 0.0).sum()
 }
 
 /// Bernoulli trial with probability `p` (clamped to `[0,1]`).
@@ -144,7 +173,7 @@ mod tests {
     fn log_normal_median() {
         let mut r = rng();
         let mut xs: Vec<f64> = (0..20_001)
-            .map(|_| log_normal(&mut r, 100.0, 0.8))
+            .map(|_| log_normal(&mut r, 100f64.ln(), 0.8))
             .collect();
         xs.sort_by(f64::total_cmp);
         let median = xs[xs.len() / 2];
@@ -160,14 +189,16 @@ mod tests {
 
     #[test]
     fn poisson_small_mean() {
-        let (mean, var) = sample_stats(|r| poisson(r, 3.5) as f64, 20_000);
+        let d = Poisson::new(3.5);
+        let (mean, var) = sample_stats(|r| d.sample(r) as f64, 20_000);
         assert!((mean - 3.5).abs() < 0.1, "mean {mean}");
         assert!((var - 3.5).abs() < 0.25, "var {var}");
     }
 
     #[test]
     fn poisson_large_mean_uses_normal_branch() {
-        let (mean, var) = sample_stats(|r| poisson(r, 200.0) as f64, 20_000);
+        let d = Poisson::new(200.0);
+        let (mean, var) = sample_stats(|r| d.sample(r) as f64, 20_000);
         assert!((mean - 200.0).abs() < 1.0, "mean {mean}");
         assert!((var - 200.0).abs() < 15.0, "var {var}");
     }
@@ -175,8 +206,8 @@ mod tests {
     #[test]
     fn poisson_zero_mean_is_zero() {
         let mut r = rng();
-        assert_eq!(poisson(&mut r, 0.0), 0);
-        assert_eq!(poisson(&mut r, -1.0), 0);
+        assert_eq!(Poisson::new(0.0).sample(&mut r), 0);
+        assert_eq!(Poisson::new(-1.0).sample(&mut r), 0);
     }
 
     #[test]
@@ -207,7 +238,7 @@ mod tests {
         let w = [1.0, 0.0, 3.0];
         let mut counts = [0u32; 3];
         for _ in 0..40_000 {
-            counts[weighted_index(&mut r, &w).unwrap()] += 1;
+            counts[weighted_index(&mut r, &w, positive_sum(&w)).unwrap()] += 1;
         }
         assert_eq!(counts[1], 0);
         let ratio = counts[2] as f64 / counts[0] as f64;
@@ -217,9 +248,9 @@ mod tests {
     #[test]
     fn weighted_index_degenerate_cases() {
         let mut r = rng();
-        assert_eq!(weighted_index(&mut r, &[]), None);
-        assert_eq!(weighted_index(&mut r, &[0.0, 0.0]), None);
-        assert_eq!(weighted_index(&mut r, &[0.0, 2.0]), Some(1));
+        assert_eq!(weighted_index(&mut r, &[], 0.0), None);
+        assert_eq!(weighted_index(&mut r, &[0.0, 0.0], 0.0), None);
+        assert_eq!(weighted_index(&mut r, &[0.0, 2.0], 2.0), Some(1));
     }
 
     #[test]

@@ -10,7 +10,7 @@
 
 use crate::dist;
 use crate::event::{ActivityCause, AppId, Interaction, NetworkActivity, ScreenSession};
-use crate::profile::UserProfile;
+use crate::profile::{BackgroundSync, UserProfile};
 use crate::time::{DayIndex, DayKind, Timestamp, HOURS_PER_DAY, SECS_PER_DAY, SECS_PER_HOUR};
 use crate::trace::{DayTrace, Trace};
 use rand::rngs::StdRng;
@@ -44,6 +44,7 @@ pub struct TraceGenerator {
     profile: UserProfile,
     seed: u64,
     options: GenOptions,
+    tables: Tables,
 }
 
 /// Minimum seconds a screen session lasts.
@@ -53,10 +54,91 @@ const MAX_SESSION_SECS: u64 = 900;
 /// Seconds of session time bought per interaction at minimum.
 const SECS_PER_INTERACTION: u64 = 3;
 
+/// A session before overlap resolution: `(start, len, interactions)`.
+type RawSession = (Timestamp, u64, u64);
+
+/// What the sampling loop needs from a profile, computed once per
+/// generator instead of once per draw: the `ln` of every fixed
+/// log-normal median, the Poisson limits of every fixed mean, and the
+/// app-choice weights of every hour.
+#[derive(Debug, Clone)]
+struct Tables {
+    ln_session_duration: f64,
+    ln_fg_rate: f64,
+    ln_bg_rate: f64,
+    /// Interactions per session beyond the first.
+    session_extra: dist::Poisson,
+    /// Per app: `ln` of the foreground-bytes median, floored at 256 B.
+    ln_fg_bytes: Vec<f64>,
+    /// Per app with background sync: the sync, `ln` of its payload
+    /// median and its burst size beyond the first activity.
+    bg: Vec<Option<(BackgroundSync, f64, dist::Poisson)>>,
+    /// `popularity × hourly_affinity`, hour-major: app `i` at hour `h`
+    /// is `weights[h * apps + i]`.
+    weights: Vec<f64>,
+    /// Per hour, [`dist::positive_sum`] of that hour's weights.
+    hour_totals: [f64; HOURS_PER_DAY],
+}
+
+impl Tables {
+    fn new(p: &UserProfile) -> Self {
+        let weights: Vec<f64> = (0..HOURS_PER_DAY)
+            .flat_map(|h| {
+                p.apps
+                    .iter()
+                    .map(move |a| a.popularity * a.hourly_affinity[h])
+            })
+            .collect();
+        let mut hour_totals = [0.0; HOURS_PER_DAY];
+        for (total, hour) in hour_totals
+            .iter_mut()
+            .zip(weights.chunks(p.apps.len().max(1)))
+        {
+            *total = dist::positive_sum(hour);
+        }
+        Tables {
+            ln_session_duration: p.session.duration_median.ln(),
+            ln_fg_rate: p.session.fg_rate_median.ln(),
+            ln_bg_rate: p.session.bg_rate_median.ln(),
+            session_extra: dist::Poisson::new((p.session.interactions_per_session - 1.0).max(0.0)),
+            ln_fg_bytes: p
+                .apps
+                .iter()
+                .map(|a| a.fg_bytes_median.max(256.0).ln())
+                .collect(),
+            bg: p
+                .apps
+                .iter()
+                .map(|a| {
+                    a.background.map(|bg| {
+                        (
+                            bg,
+                            bg.bytes_median.ln(),
+                            dist::Poisson::new((bg.burst_mean - 1.0).max(0.0)),
+                        )
+                    })
+                })
+                .collect(),
+            weights,
+            hour_totals,
+        }
+    }
+
+    /// The app-choice weights at `hour` and their positive sum.
+    fn hour_weights(&self, hour: usize) -> (&[f64], f64) {
+        let n = self.weights.len() / HOURS_PER_DAY;
+        (
+            &self.weights[hour * n..(hour + 1) * n],
+            self.hour_totals[hour],
+        )
+    }
+}
+
 impl TraceGenerator {
     /// Generator with the default seed.
     pub fn new(profile: UserProfile) -> Self {
         TraceGenerator {
+            tables: Tables::new(&profile),
             profile,
             seed: 0,
             options: GenOptions::default(),
@@ -93,23 +175,33 @@ impl TraceGenerator {
         let mut rng = StdRng::seed_from_u64(
             self.seed ^ (self.profile.user_id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
         );
+        let mut raw_sessions = Vec::new();
         for day in 0..days {
-            let d = self.generate_day(&mut rng, day, &app_ids);
+            let d = self.generate_day(&mut rng, day, &app_ids, &mut raw_sessions);
             debug_assert_eq!(d.validate(), Ok(()));
             trace.days.push(d);
         }
         trace
     }
 
-    /// Generates a single day.
-    fn generate_day(&self, rng: &mut StdRng, day: DayIndex, app_ids: &[AppId]) -> DayTrace {
+    /// Generates a single day. `raw_sessions` is scratch space reused
+    /// across days.
+    fn generate_day(
+        &self,
+        rng: &mut StdRng,
+        day: DayIndex,
+        app_ids: &[AppId],
+        raw_sessions: &mut Vec<RawSession>,
+    ) -> DayTrace {
         let p = &self.profile;
+        let tables = &self.tables;
         let weekend = DayKind::of_day(day).is_weekend();
         let noise = 1.0 - p.regularity;
 
         // Day-level modulation: overall mood plus occasional scattered
         // days whose shape is shifted and damped.
-        let day_factor = dist::log_normal(rng, 1.0, noise * 0.45);
+        // ln(1) = 0: a unit-median log-normal.
+        let day_factor = dist::log_normal(rng, 0.0, noise * 0.45);
         let scattered = dist::coin(rng, noise * 0.3);
         let shift: i64 = if scattered {
             rng.random_range(-3..=3)
@@ -126,26 +218,25 @@ impl TraceGenerator {
                 * self.options.intensity_scale
                 * day_factor
                 * scatter_damp
-                * dist::log_normal(rng, 1.0, noise * 0.35);
-            *count = dist::poisson(rng, lambda);
+                * dist::log_normal(rng, 0.0, noise * 0.35);
+            *count = dist::Poisson::new(lambda).sample(rng);
         }
 
         // Cluster interactions into sessions.
         let day_start = crate::time::day_start(day);
         let day_end = day_start + SECS_PER_DAY;
-        let mut raw_sessions: Vec<(Timestamp, u64, u64)> = Vec::new(); // (start, len, k)
+        raw_sessions.clear();
         for (h, &n) in hour_counts.iter().enumerate() {
             let mut remaining = n;
             while remaining > 0 {
-                let k =
-                    (1 + dist::poisson(rng, (p.session.interactions_per_session - 1.0).max(0.0)))
-                        .min(remaining);
+                let k = (1 + tables.session_extra.sample(rng)).min(remaining);
                 remaining -= k;
                 let start =
                     day_start + h as u64 * SECS_PER_HOUR + rng.random_range(0..SECS_PER_HOUR);
-                let len = dist::log_normal(rng, p.session.duration_median, p.session.duration_sigma)
-                    .round()
-                    .max((k * SECS_PER_INTERACTION) as f64) as u64;
+                let len =
+                    dist::log_normal(rng, tables.ln_session_duration, p.session.duration_sigma)
+                        .round()
+                        .max((k * SECS_PER_INTERACTION) as f64) as u64;
                 let len = len.clamp(MIN_SESSION_SECS, MAX_SESSION_SECS);
                 raw_sessions.push((start, len, k));
             }
@@ -157,7 +248,7 @@ impl TraceGenerator {
         let mut sessions: Vec<ScreenSession> = Vec::with_capacity(raw_sessions.len());
         let mut session_k: Vec<u64> = Vec::with_capacity(raw_sessions.len());
         let mut cursor = day_start;
-        for (start, len, k) in raw_sessions {
+        for &(start, len, k) in raw_sessions.iter() {
             let start = start.max(cursor.saturating_add(1));
             let end = start.saturating_add(len);
             if end >= day_end {
@@ -173,14 +264,9 @@ impl TraceGenerator {
         let mut interactions: Vec<Interaction> = Vec::new();
         let mut activities: Vec<NetworkActivity> = Vec::new();
         for (s, &k) in sessions.iter().zip(&session_k) {
-            let hour = crate::time::hour_of(s.start);
-            let weights: Vec<f64> = p
-                .apps
-                .iter()
-                .map(|a| a.popularity * a.hourly_affinity[hour])
-                .collect();
+            let (weights, total) = tables.hour_weights(crate::time::hour_of(s.start));
             for _ in 0..k {
-                let Some(app_idx) = dist::weighted_index(rng, &weights) else {
+                let Some(app_idx) = dist::weighted_index(rng, weights, total) else {
                     continue;
                 };
                 let app = &p.apps[app_idx];
@@ -200,18 +286,20 @@ impl TraceGenerator {
         // Background syncs, all day, regardless of screen state. Each
         // sync event is a burst of one or more activities a few seconds
         // apart (DNS + per-endpoint connections of one logical sync).
-        for (app_idx, app) in p.apps.iter().enumerate() {
-            let Some(bg) = &app.background else { continue };
+        for (app_idx, app_bg) in tables.bg.iter().enumerate() {
+            let Some((bg, ln_bytes, burst_extra)) = app_bg else {
+                continue;
+            };
             let period = bg.period * self.options.bg_period_scale;
             let mut t = day_start as f64 + rng.random::<f64>() * period;
             while (t as Timestamp) < day_end {
-                let n_sub = 1 + dist::poisson(rng, (bg.burst_mean - 1.0).max(0.0));
-                let total_bytes = dist::log_normal(rng, bg.bytes_median, bg.bytes_sigma).max(64.0);
+                let n_sub = 1 + burst_extra.sample(rng);
+                let total_bytes = dist::log_normal(rng, *ln_bytes, bg.bytes_sigma).max(64.0);
                 let mut sub_t = t;
                 for _ in 0..n_sub {
                     let at = sub_t as Timestamp;
                     let bytes = (total_bytes / n_sub as f64).max(64.0);
-                    let rate = dist::log_normal(rng, p.session.bg_rate_median, 0.5).max(64.0);
+                    let rate = dist::log_normal(rng, tables.ln_bg_rate, 0.5).max(64.0);
                     let duration = (bytes / rate).round().clamp(1.0, 60.0) as u64;
                     let up = (bytes * bg.uplink_fraction) as u64;
                     let down = bytes as u64 - up;
@@ -227,7 +315,7 @@ impl TraceGenerator {
                     }
                     sub_t += dist::exponential(rng, bg.burst_spread).max(1.0);
                 }
-                t += period * dist::log_normal(rng, 1.0, bg.jitter);
+                t += period * dist::log_normal(rng, 0.0, bg.jitter);
             }
         }
 
@@ -249,11 +337,10 @@ impl TraceGenerator {
         app_idx: usize,
         app_ids: &[AppId],
     ) -> NetworkActivity {
-        let p = &self.profile;
-        let app = &p.apps[app_idx];
+        let app = &self.profile.apps[app_idx];
         let bytes =
-            dist::log_normal(rng, app.fg_bytes_median.max(256.0), app.fg_bytes_sigma).max(128.0);
-        let rate = dist::log_normal(rng, p.session.fg_rate_median, 0.5).max(256.0);
+            dist::log_normal(rng, self.tables.ln_fg_bytes[app_idx], app.fg_bytes_sigma).max(128.0);
+        let rate = dist::log_normal(rng, self.tables.ln_fg_rate, 0.5).max(256.0);
         let duration = (bytes / rate).round().clamp(1.0, 90.0) as u64;
         let up = (bytes * app.fg_uplink_fraction) as u64;
         let down = bytes as u64 - up;
@@ -462,6 +549,60 @@ mod tests {
         let vols = generate_volunteers(2, 9);
         assert_eq!(vols.len(), 3);
         assert!(vols.iter().all(|t| t.validate().is_ok()));
+    }
+
+    /// FNV-1a over every field of every session, interaction and
+    /// activity of a trace, in order.
+    fn trace_digest(t: &Trace) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut eat = |x: u64| {
+            for b in x.to_le_bytes() {
+                h ^= b as u64;
+                h = h.wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        for d in &t.days {
+            eat(d.day as u64);
+            for s in &d.sessions {
+                eat(s.start);
+                eat(s.end);
+            }
+            for i in &d.interactions {
+                eat(i.at);
+                eat(i.app.0 as u64);
+                eat(i.needs_network as u64);
+            }
+            for a in &d.activities {
+                eat(a.start);
+                eat(a.duration);
+                eat(a.bytes_down);
+                eat(a.bytes_up);
+                eat(a.app.0 as u64);
+                eat(a.cause as u64);
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn generated_traces_match_golden_digests() {
+        // Any change to the RNG draw order or to a float expression in
+        // the generator moves these digests.
+        const GOLDEN: [u64; 8] = [
+            0xc8c6_faa0_ca91_58ad,
+            0x62a7_ac56_0a5a_6ae5,
+            0xbdbb_783a_d957_3d52,
+            0x852e_b86e_0a94_e25a,
+            0x31a8_d70e_8dc3_afdb,
+            0x8d20_115b_fd44_f211,
+            0xdefc_ad6d_d751_8838,
+            0xb012_a6a8_b4bb_865c,
+        ];
+        let digests: Vec<u64> = UserProfile::panel()
+            .into_iter()
+            .map(|p| trace_digest(&TraceGenerator::new(p).with_seed(2014).generate(21)))
+            .collect();
+        assert_eq!(digests, GOLDEN, "{digests:#018x?}");
     }
 
     #[test]

@@ -14,6 +14,7 @@
 
 use crate::time::HOURS_PER_DAY;
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
 /// Per-hour multiplier or intensity vector, one slot per hour of day.
 pub type HourVec = [f64; HOURS_PER_DAY];
@@ -229,32 +230,45 @@ impl UserProfile {
     /// The 8-user study panel of §III (Figs. 1–5). Eight distinct
     /// chronotypes with regularity spanning 0.45–0.9.
     pub fn panel() -> Vec<UserProfile> {
-        vec![
-            office_worker(1),
-            night_owl_student(2),
-            heavy_messenger(3),
-            regular_commuter(4),
-            shift_worker(5),
-            light_user(6),
-            social_grazer(7),
-            weekend_warrior(8),
-        ]
+        static PANEL: OnceLock<Vec<UserProfile>> = OnceLock::new();
+        PANEL.get_or_init(build_panel).clone()
     }
 
     /// The 3 evaluation volunteers of §VI (Fig. 7). Distinct from the
     /// panel only in id; the paper likewise reused human subjects with
     /// unrestricted usage.
     pub fn volunteers() -> Vec<UserProfile> {
-        let mut v = vec![
-            regular_commuter(1),
-            heavy_messenger(2),
-            night_owl_student(3),
-        ];
-        for (i, p) in v.iter_mut().enumerate() {
-            p.label = format!("volunteer-{}", i + 1);
-        }
-        v
+        static VOLUNTEERS: OnceLock<Vec<UserProfile>> = OnceLock::new();
+        VOLUNTEERS.get_or_init(build_volunteers).clone()
     }
+}
+
+/// Builds [`UserProfile::panel`], which caches it: the diurnal curves
+/// cost thousands of `exp` calls, and a fleet asks once per member.
+fn build_panel() -> Vec<UserProfile> {
+    vec![
+        office_worker(1),
+        night_owl_student(2),
+        heavy_messenger(3),
+        regular_commuter(4),
+        shift_worker(5),
+        light_user(6),
+        social_grazer(7),
+        weekend_warrior(8),
+    ]
+}
+
+/// Builds [`UserProfile::volunteers`], which caches it.
+fn build_volunteers() -> Vec<UserProfile> {
+    let mut v = vec![
+        regular_commuter(1),
+        heavy_messenger(2),
+        night_owl_student(3),
+    ];
+    for (i, p) in v.iter_mut().enumerate() {
+        p.label = format!("volunteer-{}", i + 1);
+    }
+    v
 }
 
 // ---------------------------------------------------------------------------
@@ -765,6 +779,14 @@ mod tests {
         let unused = u3.apps.iter().filter(|a| !a.uses_network()).count();
         assert!(unused >= 8, "only {unused} unused apps");
         assert!(u3.apps.len() >= 15);
+    }
+
+    #[test]
+    fn cached_profiles_equal_fresh_ones() {
+        for _ in 0..2 {
+            assert_eq!(UserProfile::panel(), build_panel());
+            assert_eq!(UserProfile::volunteers(), build_volunteers());
+        }
     }
 
     #[test]
