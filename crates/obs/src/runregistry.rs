@@ -14,7 +14,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::io::Write as _;
+use std::io::{Read as _, Write as _};
 use std::path::{Path, PathBuf};
 
 /// Bump when [`RunRecord`]'s shape changes incompatibly.
@@ -74,33 +74,69 @@ impl RunRegistry {
         &self.path
     }
 
-    /// Appends one row (a single JSON line) to the registry file.
+    /// Appends one row (a single JSON line) to the registry file. The
+    /// row always starts on a fresh line: after a final row written
+    /// without its newline, a newline is added first; a final fragment
+    /// that does not parse (a writer that died mid-row) is cut off. The
+    /// cut assumes no live appender is mid-row: each row lands in one
+    /// `O_APPEND` write, so a torn tail is left only by a dead writer.
     pub fn append(&self, record: &RunRecord) -> Result<(), String> {
         let line = serde_json::to_string(record)
             .map_err(|e| format!("cannot serialize run record: {e}"))?;
         let mut file = std::fs::OpenOptions::new()
             .create(true)
+            .read(true)
             .append(true)
             .open(&self.path)
             .map_err(|e| format!("cannot open {}: {e}", self.path.display()))?;
+        let mut text = Vec::new();
+        file.read_to_end(&mut text)
+            .map_err(|e| format!("cannot read {}: {e}", self.path.display()))?;
+        let (complete, tail) = split_tail(&text);
+        let row = if tail.is_empty() {
+            format!("{line}\n")
+        } else if parse_row(tail).is_ok() {
+            format!("\n{line}\n")
+        } else {
+            file.set_len(complete.len() as u64)
+                .map_err(|e| format!("cannot cut the torn tail of {}: {e}", self.path.display()))?;
+            format!("{line}\n")
+        };
         // One write call per row keeps concurrent appenders line-atomic
         // on POSIX (O_APPEND).
-        file.write_all(format!("{line}\n").as_bytes())
+        file.write_all(row.as_bytes())
             .map_err(|e| format!("cannot append to {}: {e}", self.path.display()))
     }
 
     /// Reads every row, oldest first (empty when the file is absent).
+    /// A final line without a newline that does not parse is a torn
+    /// write and is skipped; any other bad line is an error.
     pub fn rows(&self) -> Result<Vec<RunRecord>, String> {
-        let text = match std::fs::read_to_string(&self.path) {
+        let text = match std::fs::read(&self.path) {
             Ok(t) => t,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
             Err(e) => return Err(format!("cannot read {}: {e}", self.path.display())),
         };
-        text.lines()
-            .filter(|l| !l.trim().is_empty())
-            .map(|l| serde_json::from_str(l).map_err(|e| format!("bad registry row {l:?}: {e}")))
-            .collect()
+        let (complete, tail) = split_tail(&text);
+        let mut rows = complete
+            .split(|&b| b == b'\n')
+            .filter(|l| !l.trim_ascii().is_empty())
+            .map(parse_row)
+            .collect::<Result<Vec<RunRecord>, String>>()?;
+        rows.extend(parse_row(tail).ok());
+        Ok(rows)
     }
+}
+
+/// Splits registry bytes after the last newline: the complete lines,
+/// and the unterminated tail (empty when the text ends in a newline).
+fn split_tail(text: &[u8]) -> (&[u8], &[u8]) {
+    text.split_at(text.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1))
+}
+
+fn parse_row(line: &[u8]) -> Result<RunRecord, String> {
+    let text = std::str::from_utf8(line).map_err(|e| format!("registry row is not UTF-8: {e}"))?;
+    serde_json::from_str(text).map_err(|e| format!("bad registry row {text:?}: {e}"))
 }
 
 /// Wall-clock milliseconds since the Unix epoch. Lives here because the
@@ -194,6 +230,58 @@ mod tests {
         let rows = reg.rows().unwrap();
         assert_eq!(rows, vec![a, b]);
         let _ = std::fs::remove_file(&path);
+    }
+
+    fn row_line(r: &RunRecord) -> String {
+        serde_json::to_string(r).unwrap()
+    }
+
+    fn scratch_registry(name: &str) -> (PathBuf, RunRegistry) {
+        let dir = std::env::temp_dir().join(format!("nm_runreg_{name}_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("runs.jsonl");
+        let _ = std::fs::remove_file(&path);
+        (dir, RunRegistry::new(&path))
+    }
+
+    #[test]
+    fn torn_tail_then_append_keeps_every_complete_row() {
+        let (dir, reg) = scratch_registry("torn");
+        let (a, b, c) = (sample(1), sample(2), sample(3));
+        let torn = row_line(&sample(9));
+        let torn = &torn[..torn.len() / 2];
+        std::fs::write(reg.path(), format!("{}\n{torn}", row_line(&a))).unwrap();
+        // The torn tail alone reads as absent, not as an error.
+        assert_eq!(reg.rows().unwrap(), vec![a.clone()]);
+        reg.append(&b).unwrap();
+        reg.append(&c).unwrap();
+        assert_eq!(reg.rows().unwrap(), vec![a.clone(), b.clone(), c.clone()]);
+        let text = std::fs::read_to_string(reg.path()).unwrap();
+        assert_eq!(
+            text,
+            format!("{}\n{}\n{}\n", row_line(&a), row_line(&b), row_line(&c))
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn unterminated_complete_row_is_kept_on_append() {
+        let (dir, reg) = scratch_registry("unterminated");
+        let (a, b) = (sample(1), sample(2));
+        std::fs::write(reg.path(), row_line(&a)).unwrap();
+        assert_eq!(reg.rows().unwrap(), vec![a.clone()]);
+        reg.append(&b).unwrap();
+        assert_eq!(reg.rows().unwrap(), vec![a, b]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn terminated_bad_line_is_an_error() {
+        let (dir, reg) = scratch_registry("bad");
+        let a = sample(1);
+        std::fs::write(reg.path(), format!("{{\"schema\": 1\n{}\n", row_line(&a))).unwrap();
+        assert!(reg.rows().unwrap_err().contains("bad registry row"));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
